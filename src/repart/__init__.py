@@ -27,6 +27,7 @@ from .engine import (
     StepOutcome,
     StepTag,
     feasibility_exists,
+    replay_remaps,
 )
 from .errors import (
     InputError,
@@ -78,6 +79,7 @@ __all__ = [
     "opt_per_phase_lower_bound",
     "pseudo_configuration",
     "pseudo_configurations",
+    "replay_remaps",
     "run_experiment",
     "save_workload",
     "solve_any_target",

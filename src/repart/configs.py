@@ -205,36 +205,62 @@ def is_valid_target(y, matrix: ConfigMatrix, u) -> bool:
 
 
 def _pack_counts(u, columns):
-    # greedy-free exact cover: express u as a nonnegative integer
-    # combination of columns, DFS over the largest size still uncovered
+    """First way to write u as a nonnegative integer combination of columns.
+
+    Depth-first search that covers the largest uncovered size first and
+    tries columns in their fixed order; states known to fail are
+    skipped. The search is iterative, and a run of picks of one column
+    is one stack frame until the search backtracks into it, so a
+    demand that packs without backtracking costs O(k * columns) steps
+    however many clusters it fills.
+    """
     if any(c < 0 for c in u):
         return None
+    k = len(u)
+    # with_size[s]: ids of the columns holding a size-(s + 1) component
+    with_size = [[j for j, col in enumerate(columns) if col[s]] for s in range(k)]
     fail = set()
+    # frame [rem, s, pos, reps]: from state rem, whose largest uncovered
+    # size index is s, column with_size[s][pos] was picked reps times
+    stack = []
 
-    def rec(rem):
-        live = [i for i, r in enumerate(rem) if r > 0]
-        if not live:
-            return ()
-        if rem in fail:
-            return None
-        s = live[-1]
-        for j, col in enumerate(columns):
-            if col[s] == 0:
-                continue
-            if any(c > r for c, r in zip(col, rem)):
-                continue
-            sub = rec(tuple(r - c for r, c in zip(rem, col)))
-            if sub is not None:
-                return (j,) + sub
+    def top(rem):
+        for s in range(k - 1, -1, -1):
+            if rem[s]:
+                return s
+        return -1
+
+    def advance(rem, s, at):
+        """Pick the first column from position at that fits, as many times
+        as it fits in a row; the state after the picks, or None."""
+        for pos in range(at, len(with_size[s])):
+            col = columns[with_size[s][pos]]
+            reps = min(r // c for r, c in zip(rem, col) if c)
+            if reps:
+                stack.append([rem, s, pos, reps])
+                return tuple(r - reps * c for r, c in zip(rem, col))
         fail.add(rem)
         return None
 
-    picks = rec(tuple(u))
-    if picks is None:
-        return None
+    rem = tuple(u)
+    while (s := top(rem)) >= 0:
+        rem = None if rem in fail else advance(rem, s, 0)
+        # backtrack: the deepest picked state tries its next column
+        while rem is None and stack:
+            frame = stack[-1]
+            base, s, pos, reps = frame
+            col = columns[with_size[s][pos]]
+            state = tuple(r - (reps - 1) * c for r, c in zip(base, col))
+            if reps > 1:
+                frame[3] = reps - 1
+            else:
+                stack.pop()
+            rem = advance(state, s, pos + 1)
+        if rem is None:
+            return None
     y = [0] * len(columns)
-    for j in picks:
-        y[j] += 1
+    for _, s, pos, reps in stack:
+        y[with_size[s][pos]] += reps
     return tuple(y)
 
 
@@ -252,7 +278,14 @@ def solve_any_target(matrix: ConfigMatrix, u):
 
 def demand_packable(u, k: int) -> bool:
     """True iff demand u is coverable by real cluster configurations."""
-    return _pack_counts(tuple(u), enumerate_configurations(k)) is not None
+    return _packable(tuple(u), k)
+
+
+# A bounded memo: an entry is a few hundred bytes, and adaptive
+# workloads ask about the same demand vectors over and over.
+@lru_cache(maxsize=1 << 14)
+def _packable(u: tuple, k: int) -> bool:
+    return _pack_counts(u, enumerate_configurations(k)) is not None
 
 
 def brute_force_min_target(x, matrix: ConfigMatrix, u, node_budget=DEFAULT_SEARCH_BUDGET):

@@ -17,6 +17,14 @@ target census is found by scanning the Graver basis of the event's
 configuration matrix for the cheapest applicable move; an iterative
 deepening search over raw census vectors stands in above the basis size
 guard. comp-any skips minimization and takes any valid target.
+
+A request is planned in full before anything changes, so a serve that
+raises leaves the engine as it was. The engine keeps the component size
+demand, each cluster's size-count vector and the clusters of each
+configuration up to date, so a request reads only the two components it
+joins and the clusters it changes; only a phase reset costs O(n). The
+audit after each request checks the clusters the request changed, the
+only ones that can have broken an invariant; audit() checks everything.
 """
 
 from __future__ import annotations
@@ -28,24 +36,24 @@ from enum import Enum
 from .configs import (
     DEFAULT_SEARCH_BUDGET,
     brute_force_min_target,
-    build_state,
     config_matrix,
     config_space,
     counts_from_sizes,
     demand_packable,
     is_valid_target,
-    pseudo_configuration,
     revlex_key,
     solve_any_target,
 )
 from .errors import InputError, InvariantViolation
 from .graver import GRAVER_K_GUARD, graver_basis_for
 from .model import (
+    ClusterCensus,
     ComponentPartition,
     CostLedger,
     Instance,
     Mapping,
     Request,
+    SpanningComponent,
     component_size_census,
     validate_request,
 )
@@ -89,6 +97,19 @@ def feasibility_exists(component_sizes, instance: Instance) -> bool:
     return demand_packable(tuple(demand), instance.k)
 
 
+def _merge_packable(demand, a: int, b: int, k: int) -> bool:
+    """feasibility_exists for the sizes in demand once a size-a and a
+    size-b component merge; demand[s - 1] counts the size-s components.
+    """
+    if a + b > k:
+        return False
+    after = list(demand)
+    after[a - 1] -= 1
+    after[b - 1] -= 1
+    after[a + b - 1] += 1
+    return demand_packable(tuple(after), k)
+
+
 def graver_candidates(basis, x) -> list:
     """Basis elements applicable at state x that resolve the pseudo."""
     pi = len(x) - 1
@@ -129,7 +150,11 @@ class RemapPlan:
 
 @dataclass(frozen=True)
 class RemapRecord:
-    """Snapshot of one remap event, kept for after-the-fact auditing."""
+    """One remap event, kept for after-the-fact auditing.
+
+    replay_remaps() rebuilds the mapping and the components the event
+    started from, so the record holds no O(n) snapshot.
+    """
 
     phase: int
     request: Request
@@ -140,8 +165,6 @@ class RemapRecord:
     distance: int
     affected: tuple
     moves: tuple
-    mapping_before: tuple
-    components: tuple
 
 
 @dataclass(frozen=True)
@@ -181,6 +204,7 @@ class Engine:
         self.node_budget = node_budget
         self.mapping = initial.copy() if initial is not None else Mapping.default(instance)
         self.partition = ComponentPartition(instance.n)
+        self.census = ClusterCensus(instance)
         self.ledger = CostLedger()
         self.phase = 0
         self.completed_phases: list = []
@@ -204,62 +228,104 @@ class Engine:
     def serve(self, request: Request) -> StepOutcome:
         validate_request(self.instance, request)
         index = self.requests_served
-        outcome = self._serve_case(request, index, reprocessed=False)
+        outcome = self._serve_case(request, index)
         self.requests_served = index + 1
-        self._check_invariants()
         return outcome
 
     def serve_all(self, requests) -> list:
         return [self.serve(r) for r in requests]
 
+    def audit(self) -> None:
+        """Check every invariant and all kept state from scratch; O(n).
+
+        Between requests the mapping holds exactly k nodes per cluster
+        and every component lies inside one cluster; the kept node sets,
+        member lists, size demand and cluster census equal a recount.
+        """
+        instance, mapping, partition = self.instance, self.mapping, self.partition
+        k = instance.k
+        if not mapping.is_valid():
+            raise InvariantViolation("mapping lost the exactly-k-per-cluster shape")
+        census = component_size_census(partition, mapping)
+        if census.spanning is not None:
+            raise InvariantViolation(
+                f"component {census.spanning.root} spans clusters between requests"
+            )
+        nodes = [[] for _ in range(instance.l)]
+        for node, cluster in enumerate(mapping.as_list()):
+            nodes[cluster].append(node)
+        if any(mapping.nodes_in(j) != nodes[j] for j in range(instance.l)):
+            raise InvariantViolation("cluster node sets disagree with the mapping")
+        components = partition.components()
+        kept = {root: sorted(m) for root, m in partition.member_lists().items()}
+        if kept != components:
+            raise InvariantViolation("component member lists disagree with the roots")
+        if partition.demand(k) != counts_from_sizes(
+            (len(members) for members in components.values()), k
+        ):
+            raise InvariantViolation("component size demand disagrees with a recount")
+        clusters_with: dict = {}
+        for j, sizes in enumerate(census.per_cluster):
+            counts = counts_from_sizes(sizes, k)
+            if self.census.counts[j] != counts:
+                raise InvariantViolation(
+                    f"cluster {j} census {self.census.counts[j]} != recount {counts}"
+                )
+            clusters_with.setdefault(counts, []).append(j)
+        if self.census.clusters_with != clusters_with:
+            raise InvariantViolation("clusters per configuration disagree with a recount")
+
     # -- serve internals -------------------------------------------------
 
-    def _serve_case(self, request: Request, index: int, reprocessed: bool):
+    def _serve_case(self, request: Request, index: int) -> StepOutcome:
         u, v = request.u, request.v
-        if self.partition.find(u) == self.partition.find(v):
+        partition = self.partition
+        ru, rv = partition.find(u), partition.find(v)
+        if ru == rv:
             return self._emit(StepTag.FREE, request, comm=0)
         cu = self.mapping.cluster_of(u)
-        cv = self.mapping.cluster_of(v)
-        if cu == cv:
-            self.partition.merge(u, v)
+        if cu == self.mapping.cluster_of(v):
+            partition.merge(u, v)
+            self._refresh((cu,))
             return self._emit(StepTag.PAID_MERGE_SAME_CLUSTER, request, comm=0)
 
-        comm = 0 if reprocessed else 1
-        if comm:
-            self.ledger.charge_communication(1)
-        merged_size = self.partition.size_of(u) + self.partition.size_of(v)
-        sizes = self._sizes_after_merge(u, v, merged_size)
-        if not feasibility_exists(sizes, self.instance):
-            if reprocessed:
-                # second failure in a row (k=1 only): drop the merge and
-                # leave the fresh phase as singletons
-                return None
+        k = self.instance.k
+        sizes = partition.size_of(ru), partition.size_of(rv)
+        if not _merge_packable(partition.demand(k), *sizes, k):
             return self._reset_and_reprocess(request, index)
-
-        self.partition.merge(u, v)
-        plan = self._build_plan()
+        plan = self._build_plan(partition, self.census, u, v)
+        self.ledger.charge_communication(1)
         self._apply_plan(plan, request)
-        return self._emit(StepTag.PAID_REMAP, request, comm=comm, plan=plan)
-
-    def _sizes_after_merge(self, u: int, v: int, merged_size: int) -> list:
-        ru, rv = self.partition.find(u), self.partition.find(v)
-        sizes = [
-            len(members)
-            for root, members in self.partition.components().items()
-            if root not in (ru, rv)
-        ]
-        sizes.append(merged_size)
-        return sizes
+        return self._emit(StepTag.PAID_REMAP, request, comm=1, plan=plan)
 
     def _reset_and_reprocess(self, request: Request, index: int) -> StepOutcome:
+        """End the phase and serve the request again on singletons.
+
+        The fresh phase state is built and the request planned on it
+        before anything is committed. Communication is charged once, to
+        the phase that ended.
+        """
+        k = self.instance.k
+        partition = ComponentPartition(self.instance.n)
+        census = ClusterCensus(self.instance)
+        plan = None
+        if _merge_packable(partition.demand(k), 1, 1, k):
+            plan = self._build_plan(partition, census, request.u, request.v)
+
         old_phase = self.phase
+        self.ledger.charge_communication(1)
         self.completed_phases.append((self._phase_start, index + 1))
-        self.partition.reset()
+        self.partition, self.census = partition, census
         self.phase += 1
         self.ledger.begin_phase(self.phase)
         self._phase_start = index
         self._log(old_phase, request, StepTag.PHASE_RESET, comm=1, plan=None)
-        inner = self._serve_case(request, index, reprocessed=True)
+        inner = None
+        if plan is not None:
+            self._apply_plan(plan, request)
+            inner = self._emit(StepTag.PAID_REMAP, request, comm=0, plan=plan)
+        # without a plan (k=1) the merge is dropped and the fresh phase
+        # stays all singletons
         return StepOutcome(
             tag=StepTag.PHASE_RESET,
             request=request,
@@ -290,27 +356,38 @@ class Engine:
 
     # -- remap planning --------------------------------------------------
 
-    def _build_plan(self) -> RemapPlan:
-        instance = self.instance
-        k = instance.k
-        census = component_size_census(self.partition, self.mapping)
-        span = census.spanning
-        if span is None:
-            raise InvariantViolation("remap planning without a spanning component")
-        ca, cb = span.clusters
-        pseudo = pseudo_configuration(
-            census.per_cluster[ca], census.per_cluster[cb], span.size, k
+    def _build_plan(self, partition, census, u: int, v: int) -> RemapPlan:
+        """Plan the remap that merges the components of u and v.
+
+        Reads the two components, the census of their clusters and the
+        clusters the plan changes; changes nothing.
+        """
+        k = self.instance.k
+        ru, rv = partition.find(u), partition.find(v)
+        su, sv = partition.size_of(ru), partition.size_of(rv)
+        ca, cb = sorted((self.mapping.cluster_of(u), self.mapping.cluster_of(v)))
+        span = SpanningComponent(
+            ComponentPartition.union_root(ru, su, rv, sv),
+            su + sv,
+            (ca, cb),
+            tuple(partition.members(ru)) + tuple(partition.members(rv)),
         )
+        pseudo = [a + b for a, b in zip(census.counts[ca], census.counts[cb])]
+        pseudo[su - 1] -= 1
+        pseudo[sv - 1] -= 1
+        pseudo[su + sv - 1] += 1
+        pseudo = tuple(pseudo)
         space = config_space(k)
-        others = [
-            census.per_cluster[j] for j in range(instance.l) if j not in (ca, cb)
-        ]
-        x, u = build_state(others, pseudo, space)
+        x = census.vector(space.configurations)
+        x[space.index_of(census.counts[ca])] -= 1
+        x[space.index_of(census.counts[cb])] -= 1
+        x = tuple(x) + (1,)
         matrix = config_matrix(k, pseudo)
+        demand = matrix.mat_vec(x)
 
         g = None
         if self.algorithm == "comp-any":
-            y = solve_any_target(matrix, u)
+            y = solve_any_target(matrix, demand)
             if y is None:
                 raise InvariantViolation("feasible event lost its valid target")
         elif k <= GRAVER_K_GUARD:
@@ -322,14 +399,16 @@ class Engine:
                 )
             y = tuple(a - b for a, b in zip(x, g))
         else:
-            found = brute_force_min_target(x, matrix, u, self.node_budget)
+            found = brute_force_min_target(x, matrix, demand, self.node_budget)
             if found is None:
                 raise InvariantViolation("feasible event lost its valid target")
             y = found[0]
-        if not is_valid_target(y, matrix, u):
+        if not is_valid_target(y, matrix, demand):
             raise InvariantViolation(f"planned target {y} is not valid")
         distance = sum(abs(a - b) for a, b in zip(x, y))
-        affected, placement, moves = self._realize(census, span, x, y, space)
+        affected, placement, moves = self._realize(
+            partition, census, span, (ru, rv), x, y, space
+        )
         if len(affected) != (distance + 1) // 2:
             raise InvariantViolation(
                 f"{len(affected)} affected clusters, expected {(distance + 1) // 2}"
@@ -345,33 +424,33 @@ class Engine:
             moves=tuple(moves),
         )
 
-    def _realize(self, census, span, x, y, space):
+    def _realize(self, partition, census, span, merging, x, y, space):
         """Concrete moves for target census y.
 
         Keeps min(x_c, y_c) lowest-id clusters per configuration
-        untouched; the two merge participants are always affected. Each
-        affected cluster greedily takes the remaining target
+        untouched, so the x_c - y_c highest-id ones of each shrinking
+        configuration are affected; the two merge participants always
+        are. Each affected cluster greedily takes the remaining target
         configuration under which it retains the largest total size of
         whole components; everything unretained is pooled and placed
         into leftover capacity, larger components first.
         """
-        instance = self.instance
-        k = instance.k
+        k = self.instance.k
         ca, cb = span.clusters
         n_real = len(space.configurations)
 
-        cfg_of = {}
-        for j in range(instance.l):
-            if j in (ca, cb):
+        affected = [ca, cb]
+        for c in range(n_real):
+            surplus = x[c] - y[c]
+            if surplus <= 0:
                 continue
-            cfg_of[j] = space.index_of(counts_from_sizes(census.per_cluster[j], k))
-        quota = {c: min(x[c], y[c]) for c in range(n_real)}
-        kept = set()
-        for j in sorted(cfg_of):
-            if quota[cfg_of[j]] > 0:
-                quota[cfg_of[j]] -= 1
-                kept.add(j)
-        affected = sorted((set(cfg_of) - kept) | {ca, cb})
+            for j in reversed(census.clusters_with[space.configurations[c]]):
+                if surplus == 0:
+                    break
+                if j not in (ca, cb):
+                    affected.append(j)
+                    surplus -= 1
+        affected.sort()
         slots = []
         for c in range(n_real):
             slots.extend([c] * (y[c] - min(x[c], y[c])))
@@ -382,23 +461,20 @@ class Engine:
 
         # pool: whole components living in affected clusters, plus the
         # spanning component (a retention candidate in both participants)
-        members_of = self.partition.components()
         pool = {}
-        by_cluster = {j: [] for j in affected}
-        for root, members in members_of.items():
-            if root == span.root:
-                continue
-            home = self.mapping.cluster_of(members[0])
-            if home in by_cluster:
+        by_cluster = {}
+        for j in affected:
+            roots = {partition.find(node) for node in self.mapping.nodes_in(j)}
+            by_cluster[j] = sorted(roots.difference(merging))
+            for root in by_cluster[j]:
+                members = partition.members(root)
                 pool[root] = (len(members), tuple(members))
-                by_cluster[home].append(root)
         pool[span.root] = (span.size, span.nodes)
 
         placed = {}
         capacity = {}
         remaining = list(slots)
         for j in affected:
-            scores = []
             candidates = list(by_cluster[j])
             if span.root not in placed and j in (ca, cb):
                 candidates.append(span.root)
@@ -446,6 +522,7 @@ class Engine:
         return affected, placed, moves
 
     def _apply_plan(self, plan: RemapPlan, request: Request) -> None:
+        self.partition.merge(request.u, request.v)
         record = RemapRecord(
             phase=self.phase,
             request=request,
@@ -456,13 +533,10 @@ class Engine:
             distance=plan.distance,
             affected=plan.affected,
             moves=plan.moves,
-            mapping_before=tuple(self.mapping.as_list()),
-            components=tuple(
-                tuple(m) for m in self.partition.components().values()
-            ),
         )
         for node, cluster in plan.moves:
             self.mapping.move(node, cluster)
+        self._refresh(plan.affected)
         self.ledger.charge_migration(len(plan.moves))
         self.ledger.record_remap(len(plan.affected))
         self.remap_records.append(record)
@@ -470,11 +544,55 @@ class Engine:
         self.pseudos_used.add(plan.pseudo)
         self.f_obs = max(self.f_obs, len(plan.affected))
 
-    def _check_invariants(self) -> None:
-        if not self.mapping.is_valid():
-            raise InvariantViolation("mapping lost the exactly-k-per-cluster shape")
-        census = component_size_census(self.partition, self.mapping)
-        if census.spanning is not None:
-            raise InvariantViolation(
-                f"component {census.spanning.root} spans clusters between requests"
-            )
+    def _refresh(self, clusters) -> None:
+        """Recount the census of changed clusters and audit them.
+
+        Clusters a request did not change keep their nodes and their
+        components, so checking the changed ones is the full audit.
+        """
+        k = self.instance.k
+        partition, mapping = self.partition, self.mapping
+        for j in clusters:
+            nodes = mapping.nodes_in(j)
+            if len(nodes) != k:
+                raise InvariantViolation("mapping lost the exactly-k-per-cluster shape")
+            counts = [0] * k
+            for root in {partition.find(node) for node in nodes}:
+                members = partition.members(root)
+                if any(mapping.cluster_of(m) != j for m in members):
+                    raise InvariantViolation(
+                        f"component {root} spans clusters between requests"
+                    )
+                counts[len(members) - 1] += 1
+            self.census.set(j, tuple(counts))
+
+
+def replay_remaps(instance: Instance, initial: Mapping | None, events, records):
+    """Rebuild the state every remap event started from.
+
+    Replays the event log from the initial mapping (None: the block
+    layout), applying each record's moves in turn. Yields, per record
+    and in order, (record, mapping before its moves, components right
+    after its merge as sorted member tuples in ascending root order).
+    """
+    mapping = initial.copy() if initial is not None else Mapping.default(instance)
+    partition = ComponentPartition(instance.n)
+    pending = iter(records)
+    for event in events:
+        u, v = event["request"]
+        outcome = event["outcome"]
+        if outcome == StepTag.PHASE_RESET.value:
+            partition.reset()
+        elif outcome == StepTag.PAID_MERGE_SAME_CLUSTER.value:
+            partition.merge(u, v)
+        elif outcome == StepTag.PAID_REMAP.value:
+            record = next(pending, None)
+            if record is None or (record.request.u, record.request.v) != (u, v):
+                raise InvariantViolation("remap records disagree with the event log")
+            partition.merge(u, v)
+            components = tuple(tuple(m) for m in partition.components().values())
+            yield record, mapping.copy(), components
+            for node, cluster in record.moves:
+                mapping.move(node, cluster)
+    if next(pending, None) is not None:
+        raise InvariantViolation("more remap records than remap events")

@@ -19,6 +19,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .configs import ConfigMatrix, config_matrix
@@ -238,8 +239,9 @@ def bareiss_determinant(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+@lru_cache(maxsize=None)
 def max_subdeterminant(matrix: ConfigMatrix, k_guard: int = SUBDET_K_GUARD) -> int:
-    """Largest |det| over all square submatrices, exhaustive."""
+    """Largest |det| over all square submatrices, exhaustive; memoized."""
     if matrix.k > k_guard:
         raise ResourceLimitError(
             f"subdeterminant enumeration guarded at k <= {k_guard}, got k={matrix.k}"

@@ -5,10 +5,15 @@ An instance has n = k * l nodes, l clusters, exactly k nodes per cluster.
 Components are the connected components of the requests seen so far in
 the current phase; between requests every component lives entirely
 inside one cluster.
+
+Mappings keep the node set of each cluster and partitions keep the
+member list of each component and the number of components of each
+size, so reading one cluster or one component never scans all n nodes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -61,7 +66,7 @@ class Mapping:
     batch of moves re-validate with is_valid() afterwards.
     """
 
-    __slots__ = ("instance", "_assign")
+    __slots__ = ("instance", "_assign", "_nodes")
 
     def __init__(self, instance: Instance, assignment):
         assign = list(assignment)
@@ -78,6 +83,9 @@ class Mapping:
             raise InputError(f"cluster sizes {counts} != {instance.k} everywhere")
         self.instance = instance
         self._assign = assign
+        self._nodes = [set() for _ in range(instance.l)]
+        for node, cluster in enumerate(assign):
+            self._nodes[cluster].add(node)
 
     @classmethod
     def default(cls, instance: Instance) -> "Mapping":
@@ -88,9 +96,11 @@ class Mapping:
         return self._assign[node]
 
     def nodes_in(self, cluster: int) -> list:
-        return [i for i, c in enumerate(self._assign) if c == cluster]
+        return sorted(self._nodes[cluster])
 
     def move(self, node: int, cluster: int) -> None:
+        self._nodes[self._assign[node]].discard(node)
+        self._nodes[cluster].add(node)
         self._assign[node] = cluster
 
     def as_list(self) -> list:
@@ -122,19 +132,24 @@ class ComponentPartition:
 
     Union by size; the larger component keeps its root, ties go to the
     smaller root id. Path compression does not change roots, so the
-    partition evolution is reproducible.
+    partition evolution is reproducible. Each root holds its member
+    list; a merge appends the smaller list to the larger one, so a node
+    is copied O(log n) times per phase.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise InputError(f"need at least one node, got {n}")
         self.n = n
-        self._parent = list(range(n))
-        self._size = [1] * n
+        self.reset()
 
     def reset(self) -> None:
         self._parent = list(range(self.n))
         self._size = [1] * self.n
+        self._members = {node: [node] for node in range(self.n)}
+        # _size_counts[s]: components of size s
+        self._size_counts = [0] * (self.n + 1)
+        self._size_counts[1] = self.n
 
     def find(self, u: int) -> int:
         if not 0 <= u < self.n:
@@ -146,44 +161,100 @@ class ComponentPartition:
             self._parent[u], u = root, self._parent[u]
         return root
 
+    @staticmethod
+    def union_root(ru: int, su: int, rv: int, sv: int) -> int:
+        """Root kept when roots ru and rv, of sizes su and sv, merge."""
+        return ru if su > sv or (su == sv and ru < rv) else rv
+
     def merge(self, u: int, v: int) -> MergeOutcome:
         ru, rv = self.find(u), self.find(v)
         if ru == rv:
             return MergeOutcome(False, self._size[ru])
         sa, sb = self._size[ru], self._size[rv]
-        if sa > sb or (sa == sb and ru < rv):
-            keep, gone = ru, rv
-        else:
-            keep, gone = rv, ru
+        keep = self.union_root(ru, sa, rv, sb)
+        gone = rv if keep == ru else ru
         self._parent[gone] = keep
         self._size[keep] = sa + sb
+        self._members[keep].extend(self._members.pop(gone))
+        self._size_counts[sa] -= 1
+        self._size_counts[sb] -= 1
+        self._size_counts[sa + sb] += 1
         return MergeOutcome(True, sa + sb)
 
     def size_of(self, u: int) -> int:
         return self._size[self.find(u)]
 
+    def members(self, u: int) -> list:
+        """Members of u's component, in merge order; do not mutate."""
+        return self._members[self.find(u)]
+
+    def member_lists(self) -> dict:
+        """root -> member list of every component; do not mutate."""
+        return self._members
+
+    def demand(self, k: int) -> tuple:
+        """Component counts by size 1..k (entry s - 1 counts size s)."""
+        return tuple(self._size_counts[1 : k + 1])
+
     @property
     def component_count(self) -> int:
-        return sum(1 for i in range(self.n) if self._parent[i] == i)
+        return len(self._members)
 
     def components(self) -> dict:
-        """root -> sorted member list, roots in ascending order."""
+        """root -> sorted member list, roots in ascending order.
+
+        Rebuilt from the parent links alone, so it can check the kept
+        member lists.
+        """
         out: dict = {}
         for node in range(self.n):
             out.setdefault(self.find(node), []).append(node)
         return dict(sorted(out.items()))
 
     def sizes(self) -> list:
-        return sorted((len(m) for m in self.components().values()), reverse=True)
+        return sorted((len(m) for m in self._members.values()), reverse=True)
 
     def canonical(self) -> frozenset:
-        return frozenset(frozenset(m) for m in self.components().values())
+        return frozenset(frozenset(m) for m in self._members.values())
 
     def copy(self) -> "ComponentPartition":
-        other = ComponentPartition(self.n)
+        other = ComponentPartition.__new__(ComponentPartition)
+        other.n = self.n
         other._parent = list(self._parent)
         other._size = list(self._size)
+        other._members = {root: list(m) for root, m in self._members.items()}
+        other._size_counts = list(self._size_counts)
         return other
+
+
+class ClusterCensus:
+    """Size-count vector of every cluster, kept up to date by its owner.
+
+    counts[j][s - 1] is the number of size-s components in cluster j;
+    clusters_with maps each count vector (a configuration) to the sorted
+    ids of the clusters holding it. A fresh census is the start of a
+    phase: k singletons in every cluster.
+    """
+
+    def __init__(self, instance: Instance):
+        start = (instance.k,) + (0,) * (instance.k - 1)
+        self.counts = [start] * instance.l
+        self.clusters_with = {start: list(range(instance.l))}
+
+    def set(self, cluster: int, counts: tuple) -> None:
+        old = self.counts[cluster]
+        if old == counts:
+            return
+        ids = self.clusters_with[old]
+        del ids[bisect_left(ids, cluster)]
+        if not ids:
+            del self.clusters_with[old]
+        insort(self.clusters_with.setdefault(counts, []), cluster)
+        self.counts[cluster] = counts
+
+    def vector(self, configurations) -> list:
+        """Clusters per configuration, in the given configuration order."""
+        return [len(self.clusters_with.get(c, ())) for c in configurations]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ exact optimum and the denominator of empirical competitive ratios.
 
 Mappings are deliberately not quotiented by cluster relabeling: the
 move metric depends on concrete cluster identities.
+
+numpy is imported by the functions that use it: only the optimum needs
+it, and importing it with the package would double the package's import
+time and memory.
 """
 
 from __future__ import annotations
 
 import threading
-
-import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .model import Instance, Mapping, validate_request
@@ -32,6 +34,8 @@ def _guard(instance: Instance) -> None:
 
 def enumerate_valid_mappings(instance: Instance) -> np.ndarray:
     """All valid assignment vectors as int8 rows, lexicographic order."""
+    import numpy as np
+
     _guard(instance)
     k, l, n = instance.k, instance.l, instance.n
     rows = []
@@ -69,6 +73,8 @@ def _mappings(instance: Instance) -> np.ndarray:
 
 
 def _distances(instance: Instance) -> np.ndarray:
+    import numpy as np
+
     key = (instance.k, instance.l)
     with _CACHE_LOCK:
         dist = _DIST_CACHE.get(key)
@@ -90,6 +96,8 @@ def _distances(instance: Instance) -> np.ndarray:
 
 def opt_cost(instance: Instance, initial: Mapping, requests) -> int:
     """Minimum total communication + migration over all offline plays."""
+    import numpy as np
+
     _guard(instance)
     requests = list(requests)
     for r in requests:
@@ -114,6 +122,8 @@ def opt_per_phase_lower_bound(instance: Instance, requests, phase_ranges) -> lis
     True certifies that any offline strategy pays at least 1 inside the
     range (communication if it never moves, a move otherwise).
     """
+    import numpy as np
+
     _guard(instance)
     requests = list(requests)
     for r in requests:

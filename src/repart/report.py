@@ -245,6 +245,7 @@ def _graver_stats(engine: Engine) -> dict:
 
 def _verify_run(engine: Engine, options: ExperimentOptions, certificates) -> None:
     """Recheck the run against independent oracles; raise on any gap."""
+    engine.audit()
     instance = engine.instance
     k = instance.k
     for record in engine.remap_records:

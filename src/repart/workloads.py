@@ -82,36 +82,41 @@ class _MergeChainGenerator:
         self.partition = ComponentPartition(instance.n)
 
     def next(self, mapping):
-        comps = [
-            (members[0], len(members), mapping.cluster_of(members[0]))
-            for members in self.partition.components().values()
-        ]
+        # (smallest member, size, cluster), so m1 < m2 in every pair below
+        comps = sorted(
+            (min(members), len(members), mapping.cluster_of(members[0]))
+            for members in self.partition.member_lists().values()
+        )
+        sizes = [s for _, s, _ in comps]
+        feasible = {}  # feasibility depends on the two sizes alone
         best = None
         for (m1, s1, c1), (m2, s2, c2) in combinations(comps, 2):
             if c1 == c2:
                 continue
-            others = [s for m, s, _ in comps if m not in (m1, m2)]
-            feasible = feasibility_exists(others + [s1 + s2], self.instance)
-            u, v = min(m1, m2), max(m1, m2)
-            key = (0 if feasible else 1, -(s1 + s2), u, v)
-            if best is None or key < best[0]:
-                best = (key, u, v)
+            pair = (s1, s2) if s1 <= s2 else (s2, s1)
+            ok = feasible.get(pair)
+            if ok is None:
+                ok = feasible[pair] = self._merge_feasible(sizes, s1, s2)
+            key = (0 if ok else 1, -(s1 + s2), m1, m2)
+            if best is None or key < best:
+                best = key
         if best is None:
             return None
-        _, u, v = best
+        u, v = best[2], best[3]
         self._mirror(u, v)
         return Request(u, v)
 
+    def _merge_feasible(self, sizes, a: int, b: int) -> bool:
+        after = list(sizes)
+        after.remove(a)
+        after.remove(b)
+        after.append(a + b)
+        return feasibility_exists(after, self.instance)
+
     def _mirror(self, u: int, v: int) -> None:
         part = self.partition
-        merged = part.size_of(u) + part.size_of(v)
-        ru, rv = part.find(u), part.find(v)
-        sizes = [
-            len(members)
-            for root, members in part.components().items()
-            if root not in (ru, rv)
-        ]
-        if feasibility_exists(sizes + [merged], self.instance):
+        sizes = [len(members) for members in part.member_lists().values()]
+        if self._merge_feasible(sizes, part.size_of(u), part.size_of(v)):
             part.merge(u, v)
         else:
             part.reset()

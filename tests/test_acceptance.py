@@ -18,7 +18,7 @@ from repart.configs import (
     pseudo_configurations,
     solve_any_target,
 )
-from repart.engine import graver_min_move
+from repart.engine import graver_min_move, replay_remaps
 from repart.graver import (
     compute_graver,
     decompose,
@@ -28,7 +28,7 @@ from repart.graver import (
     max_subdeterminant,
     sign_compatible,
 )
-from repart.model import Instance, Mapping
+from repart.model import Instance
 from repart.report import ExperimentOptions, run_experiment
 from repart.rng import SplitMix64
 from repart.verify import (
@@ -181,9 +181,11 @@ def test_criterion_07_min_remap_oracle_equality(sim_batch, capsys):
     for inst, report in sim_batch:
         if inst.n > 8:
             continue
-        for rec in report.records:
-            before = Mapping(inst, list(rec.mapping_before))
-            oracle = min_affected_over_mappings(inst, rec.components, before)
+        # the batch's workloads start from the block layout
+        for rec, before, components in replay_remaps(
+            inst, None, report.events, report.records
+        ):
+            oracle = min_affected_over_mappings(inst, components, before)
             assert oracle == len(rec.affected)
             third += 1
     assert feasible > 0 and third > 0

@@ -21,6 +21,7 @@ from repart.configs import (
     solve_any_target,
 )
 from repart.errors import InputError, InvariantViolation, ResourceLimitError
+from repart.rng import SplitMix64
 from repart.verify import partition_count, random_remap_states
 
 # Frozen from the oracle: partition_count(k) for k = 1..10.
@@ -151,6 +152,65 @@ def test_solve_any_target_scaled_column():
 def test_demand_packable():
     assert demand_packable((2, 2), 2)
     assert not demand_packable((0, 3, 0), 3)
+
+
+def _first_packing(u, columns):
+    """Reference: the packing search written as plain recursion."""
+    fail = set()
+
+    def rec(rem):
+        live = [i for i, r in enumerate(rem) if r > 0]
+        if not live:
+            return ()
+        if rem in fail:
+            return None
+        s = live[-1]
+        for j, col in enumerate(columns):
+            if col[s] and all(c <= r for c, r in zip(col, rem)):
+                sub = rec(tuple(r - c for r, c in zip(rem, col)))
+                if sub is not None:
+                    return (j,) + sub
+        fail.add(rem)
+        return None
+
+    picks = rec(tuple(u))
+    if picks is None:
+        return None
+    return tuple(picks.count(j) for j in range(len(columns))) + (0,)
+
+
+def test_solve_any_target_finds_the_reference_search_first_solution():
+    rng = SplitMix64(515)
+    solvable = 0
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        columns = enumerate_configurations(k)
+        u = [0] * k
+        for _ in range(rng.randint(1, 9)):
+            u = [a + b for a, b in zip(u, rng.choice(columns))]
+        # one unit of demand moved to another size: often unpackable
+        i, j = rng.below(k), rng.below(k)
+        if u[i]:
+            u[i] -= 1
+            u[j] += 1
+        matrix = config_matrix(k, (0,) * (k - 1) + (2,))
+        want = _first_packing(u, columns)
+        assert solve_any_target(matrix, u) == want
+        assert demand_packable(u, k) == (want is not None)
+        solvable += want is not None
+    assert 0 < solvable < 3000
+
+
+def test_packing_search_handles_thousands_of_clusters():
+    # the search once recursed once per cluster filled
+    l = 5000
+    for k in (2, 4):
+        u = (k * l - 2, 1) + (0,) * (k - 2)
+        assert demand_packable(u, k)
+        y = solve_any_target(config_matrix(k, (0,) * (k - 1) + (2,)), u)
+        assert sum(y) == l
+    # three size-3 components but one singleton to complete them
+    assert not demand_packable((1, 1, 3, l - 3), 4)
 
 
 def test_brute_force_min_target_worked_states():

@@ -1,5 +1,7 @@
 """Tests for the online engine: serve cases, remap plans, and phase resets."""
 
+import dataclasses
+
 import pytest
 
 from repart.engine import (
@@ -9,11 +11,14 @@ from repart.engine import (
     feasibility_exists,
     graver_candidates,
     graver_min_move,
+    replay_remaps,
 )
-from repart.errors import InputError
+from repart.errors import InputError, ResourceLimitError
 from repart.graver import graver_basis_for
 from repart.model import Instance, Mapping, Request
+from repart.report import run_experiment
 from repart.rng import SplitMix64
+from repart.workloads import generate_workload
 
 
 def _random_requests(instance, count, seed):
@@ -188,8 +193,9 @@ def test_merge_participants_are_always_affected():
         eng = Engine(inst)
         for req in _random_requests(inst, 40, 2000 + seed):
             eng.serve(req)
-        for rec in eng.remap_records:
-            before = Mapping(inst, list(rec.mapping_before))
+        for rec, before, _ in replay_remaps(
+            inst, None, eng.event_log, eng.remap_records
+        ):
             assert len(rec.affected) == (rec.distance + 1) // 2
             assert len(rec.affected) >= 2
             assert before.cluster_of(rec.request.u) in rec.affected
@@ -202,8 +208,9 @@ def test_moves_touch_only_affected_clusters_and_respect_k():
         eng = Engine(inst)
         for req in _random_requests(inst, 50, 3000 + seed):
             eng.serve(req)
-        for rec in eng.remap_records:
-            before = Mapping(inst, list(rec.mapping_before))
+        for rec, before, _ in replay_remaps(
+            inst, None, eng.event_log, eng.remap_records
+        ):
             from_counts = dict.fromkeys(rec.affected, 0)
             for node, dest in rec.moves:
                 src = before.cluster_of(node)
@@ -259,3 +266,89 @@ def test_comp_any_uses_valid_but_not_necessarily_minimal_targets():
         assert rec.distance % 2 == 1
         assert rec.distance >= 3
         assert sum(rec.y) == inst.l
+
+
+@pytest.mark.parametrize("k,l", [(2, 1100), (4, 1024)])
+def test_large_instances_serve_cross_cluster_requests(k, l):
+    # the packing search once recursed once per cluster and hit the
+    # interpreter's recursion limit on the first cross-cluster request
+    workload = generate_workload("uniform-random", Instance(k, l), 20, 1)
+    report = run_experiment(workload)
+    assert report.requests_served == 20
+    assert report.records
+
+
+def _engine_state(eng):
+    return (
+        eng.mapping.as_list(),
+        eng.partition.components(),
+        eng.partition.demand(eng.instance.k),
+        list(eng.census.counts),
+        {cfg: list(ids) for cfg, ids in eng.census.clusters_with.items()},
+        [dataclasses.astuple(row) for row in eng.ledger.rows],
+        list(eng.event_log),
+        list(eng.remap_records),
+        list(eng.completed_phases),
+        eng.phase_ranges(),
+        eng.phase,
+        eng.requests_served,
+        dict(eng.affected_histogram),
+        set(eng.pseudos_used),
+        eng.f_obs,
+    )
+
+
+def test_serve_that_fails_to_plan_leaves_the_engine_unchanged():
+    # k=8 plans by the deepening search, which a budget of 5 nodes stops
+    eng = Engine(Instance(8, 4), node_budget=5)
+    eng.serve(Request(0, 1))
+    before = _engine_state(eng)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            eng.serve(Request(0, 8))
+        assert _engine_state(eng) == before
+        eng.audit()
+    eng.serve(Request(8, 9))
+    assert eng.requests_served == 2
+    eng.audit()
+
+
+def test_reset_that_fails_to_plan_leaves_the_engine_unchanged():
+    eng = Engine(Instance(8, 2), node_budget=5)
+    for v in range(1, 5):
+        eng.serve(Request(0, v))
+        eng.serve(Request(8, 8 + v))
+    before = _engine_state(eng)
+    # two size-5 components cannot share a cluster: the request resets
+    # the phase, and planning it again on singletons runs out of budget
+    with pytest.raises(ResourceLimitError):
+        eng.serve(Request(0, 8))
+    assert _engine_state(eng) == before
+    eng.audit()
+
+
+def test_remaps_keep_the_lowest_id_clusters_of_each_configuration():
+    partial = 0
+    for seed in range(8):
+        inst = Instance(3, 5)
+        eng = Engine(inst)
+        for req in _random_requests(inst, 60, 5000 + seed):
+            eng.serve(req)
+        for rec, before, components in replay_remaps(
+            inst, None, eng.event_log, eng.remap_records
+        ):
+            merged = {before.cluster_of(n) for n in (rec.request.u, rec.request.v)}
+            sizes = {}
+            for members in components:
+                home = {before.cluster_of(m) for m in members}
+                if len(home) == 1:
+                    sizes.setdefault(home.pop(), []).append(len(members))
+            same_config = {}
+            for j in range(inst.l):
+                if j not in merged:
+                    same_config.setdefault(tuple(sorted(sizes[j])), []).append(j)
+            for ids in same_config.values():
+                evicted = [j for j in ids if j in rec.affected]
+                assert evicted == ids[len(ids) - len(evicted) :]
+                partial += 0 < len(evicted) < len(ids)
+    assert partial > 0

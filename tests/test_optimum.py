@@ -1,5 +1,8 @@
 """Tests for the exhaustive offline-optimum oracle and phase certificates."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repart.engine import Engine
@@ -155,3 +158,12 @@ def test_k1_certificates_any_nonempty_phase():
     inst = Instance(1, 2)
     reqs = [Request(0, 1)]
     assert opt_per_phase_lower_bound(inst, reqs, [(0, 1), (1, 1)]) == [True, False]
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # only the offline optimum needs numpy; it is imported on first use
+    probe = "import sys, repart; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

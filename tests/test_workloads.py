@@ -1,12 +1,13 @@
 """Tests for workload generation, adaptive adversaries, and file round-trips."""
 
 import json
+from itertools import combinations
 
 import pytest
 
-from repart.engine import Engine, StepTag
+from repart.engine import Engine, StepTag, feasibility_exists
 from repart.errors import InputError
-from repart.model import Instance, Mapping
+from repart.model import ComponentPartition, Instance, Mapping, Request
 from repart.workloads import (
     KINDS,
     generate_workload,
@@ -89,6 +90,57 @@ def test_merge_chain_mirror_tracks_engine_components():
                 break
             eng.serve(req)
             assert gen.partition.canonical() == eng.partition.canonical()
+
+
+class _ReferenceMergeChain:
+    """The merge-chain adversary checking feasibility of every pair in full."""
+
+    def __init__(self, instance):
+        self.instance = instance
+        self.partition = ComponentPartition(instance.n)
+
+    def next(self, mapping):
+        comps = [
+            (members[0], len(members), mapping.cluster_of(members[0]))
+            for members in self.partition.components().values()
+        ]
+        best = None
+        for (m1, s1, c1), (m2, s2, c2) in combinations(comps, 2):
+            if c1 == c2:
+                continue
+            others = [s for m, s, _ in comps if m not in (m1, m2)]
+            feasible = feasibility_exists(others + [s1 + s2], self.instance)
+            key = (0 if feasible else 1, -(s1 + s2), min(m1, m2), max(m1, m2))
+            best = key if best is None else min(best, key)
+        if best is None:
+            return None
+        u, v = best[2], best[3]
+        others = [
+            len(m)
+            for m in self.partition.components().values()
+            if u not in m and v not in m
+        ]
+        merged = self.partition.size_of(u) + self.partition.size_of(v)
+        if not feasibility_exists(others + [merged], self.instance):
+            self.partition.reset()
+            if self.instance.k == 1:
+                return Request(u, v)
+        self.partition.merge(u, v)
+        return Request(u, v)
+
+
+def test_merge_chain_emits_the_reference_requests():
+    for k, l in ((1, 3), (2, 5), (3, 4), (4, 4)):
+        inst = Instance(k, l)
+        wl = generate_workload("merge-chain", inst, 60, 0)
+        eng = Engine(inst)
+        gen, ref = wl.make_generator(), _ReferenceMergeChain(inst)
+        for _ in range(wl.length):
+            req = gen.next(eng.mapping)
+            assert req == ref.next(eng.mapping)
+            if req is None:
+                break
+            eng.serve(req)
 
 
 def test_workload_roundtrip(tmp_path):
