@@ -276,6 +276,96 @@ def solve_any_target(matrix: ConfigMatrix, u):
     return counts + (0,)
 
 
+def min_affected_target(matrix: ConfigMatrix, x):
+    """Minimum-distance valid target for state x, or None if none exists.
+
+    For t = 0, 1, ... tries every multiset R of t real clusters taken
+    from x: the pseudo and R hold demand d = A*(R + pseudo), and when d
+    packs, y = x - R + Y - pseudo is a target at distance 2t + 3, where
+    Y is the lexicographically least packing of d. The first t with a
+    candidate is the minimum; ties go to the lexicographically least y,
+    which is the target the Graver-basis scan picks. Raises
+    ResourceLimitError past DEFAULT_SEARCH_BUDGET multisets.
+    """
+    pi = matrix.pseudo_index
+    x = tuple(x)
+    if len(x) != matrix.q or x[pi] != 1:
+        raise InputError(f"state {x} needs length q={matrix.q} and pseudo entry 1")
+    support = [c for c in range(pi) if x[c]]
+    examined = 0
+    for t in range(sum(x[:pi]) + 1):
+        # no t helps when the whole demand does not pack; most remaps
+        # succeed at t = 0, so the check waits until that fails
+        if t == 1 and not demand_packable(matrix.mat_vec(x), matrix.k):
+            return None
+        best = None
+        for r in _bounded_multisets(x, support, 0, t, [0] * pi + [1]):
+            examined += 1
+            if examined > DEFAULT_SEARCH_BUDGET:
+                raise ResourceLimitError(
+                    f"min-affected target search exceeded {DEFAULT_SEARCH_BUDGET} multisets"
+                )
+            packing = _least_packing(matrix.mat_vec(r), matrix.k)
+            if packing is None:
+                continue
+            y = tuple(a - b + c for a, b, c in zip(x, r, packing)) + (0,)
+            if best is None or y < best:
+                best = y
+        if best is not None:
+            return best
+    return None
+
+
+def _bounded_multisets(x, support, at, left, r):
+    """Each way to add left more clusters to r from support[at:], taking
+    at most x_c of configuration c; r is restored afterwards.
+
+    Module-level rather than a closure: a self-recursive closure is a
+    reference cycle, garbage that only the cyclic collector frees.
+    """
+    if left == 0:
+        yield tuple(r)
+        return
+    if at == len(support):
+        return
+    c = support[at]
+    for take in range(min(left, x[c]), -1, -1):
+        r[c] = take
+        yield from _bounded_multisets(x, support, at + 1, left - take, r)
+    r[c] = 0
+
+
+@lru_cache(maxsize=1 << 14)
+def _least_packing(d: tuple, k: int):
+    """Lexicographically least Y >= 0 over the real configurations with
+    A*Y = d, or None.
+
+    Depth-first over the configurations in their fixed order, trying
+    each count from 0 upward, so the first packing found is the least;
+    (configuration, remaining demand) states known to fail are skipped.
+    """
+    columns = enumerate_configurations(k)
+    y = [0] * len(columns)
+    fail = set()
+
+    def rec(j, rem):
+        if not any(rem):
+            return True
+        if j == len(columns) or (j, rem) in fail:
+            return False
+        col = columns[j]
+        most = min(r // c for r, c in zip(rem, col) if c)
+        for take in range(most + 1):
+            y[j] = take
+            if rec(j + 1, tuple(a - take * c for a, c in zip(rem, col))):
+                return True
+        y[j] = 0
+        fail.add((j, rem))
+        return False
+
+    return tuple(y) if rec(0, d) else None
+
+
 def demand_packable(u, k: int) -> bool:
     """True iff demand u is coverable by real cluster configurations."""
     return _packable(tuple(u), k)

@@ -12,11 +12,12 @@ requests every component lies inside one cluster. Serving (u, v):
   reset all components to singletons and reprocess the request in the
   fresh phase (communication is not charged twice).
 
-Remapping minimizes the number of clusters whose content changes. The
-target census is found by scanning the Graver basis of the event's
-configuration matrix for the cheapest applicable move; an iterative
-deepening search over raw census vectors stands in above the basis size
-guard. comp-any skips minimization and takes any valid target.
+Remapping minimizes the number of clusters whose content changes.
+comp-min finds the target census by a direct search that lets t = 0, 1,
+... further clusters join the two merge participants and repacks them
+(configs.min_affected_target); it picks the target the Graver-basis
+scan would, and the Graver machinery only certifies it. comp-any skips
+minimization and takes any valid target.
 
 A request is planned in full before anything changes, so a serve that
 raises leaves the engine as it was. The engine keeps the component size
@@ -34,18 +35,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .configs import (
-    DEFAULT_SEARCH_BUDGET,
-    brute_force_min_target,
     config_matrix,
     config_space,
     counts_from_sizes,
     demand_packable,
     is_valid_target,
+    min_affected_target,
     revlex_key,
     solve_any_target,
 )
 from .errors import InputError, InvariantViolation
-from .graver import GRAVER_K_GUARD, graver_basis_for
 from .model import (
     ClusterCensus,
     ComponentPartition,
@@ -62,15 +61,9 @@ ALGORITHMS = ("comp-min", "comp-any")
 
 
 class StepTag(Enum):
-    """Serve-case taxonomy.
-
-    PAID_INTRA_COMPONENT_MERGE is declared for completeness but never
-    emitted: endpoints of one component always share a cluster while
-    the component invariant holds, which makes the case unreachable.
-    """
+    """Serve-case taxonomy."""
 
     FREE = "free"
-    PAID_INTRA_COMPONENT_MERGE = "paid-intra-component-merge"
     PAID_MERGE_SAME_CLUSTER = "paid-merge-same-cluster"
     PAID_REMAP = "paid-remap"
     PHASE_RESET = "phase-reset"
@@ -111,7 +104,11 @@ def _merge_packable(demand, a: int, b: int, k: int) -> bool:
 
 
 def graver_candidates(basis, x) -> list:
-    """Basis elements applicable at state x that resolve the pseudo."""
+    """Basis elements applicable at state x that resolve the pseudo.
+
+    The engine does not use this or graver_min_move; they are the
+    Graver-basis oracle that certifies its planner.
+    """
     pi = len(x) - 1
     return [
         g
@@ -137,7 +134,6 @@ class RemapPlan:
     pseudo: tuple
     x: tuple
     y: tuple
-    g: tuple | None
     distance: int
     affected: tuple
     placement: tuple
@@ -191,7 +187,6 @@ class Engine:
         instance: Instance,
         initial: Mapping | None = None,
         algorithm: str = "comp-min",
-        node_budget: int = DEFAULT_SEARCH_BUDGET,
     ):
         if algorithm not in ALGORITHMS:
             raise InputError(
@@ -201,7 +196,6 @@ class Engine:
             raise InputError("initial mapping built for a different instance")
         self.instance = instance
         self.algorithm = algorithm
-        self.node_budget = node_budget
         self.mapping = initial.copy() if initial is not None else Mapping.default(instance)
         self.partition = ComponentPartition(instance.n)
         self.census = ClusterCensus(instance)
@@ -385,24 +379,12 @@ class Engine:
         matrix = config_matrix(k, pseudo)
         demand = matrix.mat_vec(x)
 
-        g = None
         if self.algorithm == "comp-any":
             y = solve_any_target(matrix, demand)
-            if y is None:
-                raise InvariantViolation("feasible event lost its valid target")
-        elif k <= GRAVER_K_GUARD:
-            basis = graver_basis_for(k, pseudo)
-            g = graver_min_move(basis, x)
-            if g is None:
-                raise InvariantViolation(
-                    "feasible event with no applicable basis move"
-                )
-            y = tuple(a - b for a, b in zip(x, g))
         else:
-            found = brute_force_min_target(x, matrix, demand, self.node_budget)
-            if found is None:
-                raise InvariantViolation("feasible event lost its valid target")
-            y = found[0]
+            y = min_affected_target(matrix, x)
+        if y is None:
+            raise InvariantViolation("feasible event lost its valid target")
         if not is_valid_target(y, matrix, demand):
             raise InvariantViolation(f"planned target {y} is not valid")
         distance = sum(abs(a - b) for a, b in zip(x, y))
@@ -417,7 +399,6 @@ class Engine:
             pseudo=pseudo,
             x=x,
             y=y,
-            g=g,
             distance=distance,
             affected=tuple(affected),
             placement=tuple(sorted(placement.items())),
@@ -490,10 +471,12 @@ class Engine:
             chosen = remaining.pop(best_at)
             cfg = space.configurations[chosen]
             capacity[j] = [0] + list(cfg)  # capacity[s] for sizes 1..k
-            # retain the candidates with the most nodes already here
+            # retain the candidates with the most nodes already here; only
+            # the merged component can have nodes outside cluster j
             def here(root):
-                size, nodes = pool[root]
-                return sum(1 for nd in nodes if self.mapping.cluster_of(nd) == j)
+                if root != span.root:
+                    return pool[root][0]
+                return sum(1 for nd in span.nodes if self.mapping.cluster_of(nd) == j)
 
             for root in sorted(candidates, key=lambda r: (-here(r), r)):
                 size = pool[root][0]

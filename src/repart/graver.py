@@ -2,10 +2,12 @@
 
 The Graver basis of A is the set of sign-minimal nonzero integer kernel
 vectors: g is in the basis iff no other nonzero kernel vector h is
-sign-compatible with g and componentwise no larger in magnitude. The
-remapping engine scans the basis for the feasible move with the fewest
-affected clusters; this module also certifies the norm bounds that make
-that scan sound (max |subdeterminant| and the infinity-norm cap).
+sign-compatible with g and componentwise no larger in magnitude. A
+scan of the basis for the cheapest applicable move
+(engine.graver_min_move) certifies the engine's planner in tests,
+`--verify` and `repart verify`; this module also certifies the norm
+bounds that make that scan sound (max |subdeterminant| and the
+infinity-norm cap).
 
 Computation is by completion: seed with an integer kernel lattice basis
 and its negations, close under pairwise sums reduced to normal form by

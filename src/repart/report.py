@@ -264,6 +264,12 @@ def _verify_run(engine: Engine, options: ExperimentOptions, certificates) -> Non
                     f"basis-scan distance {g_d} != search distance {brute_d} "
                     f"at x={record.x}, pseudo={record.pseudo}"
                 )
+            g_y = tuple(a - b for a, b in zip(record.x, g))
+            if options.algorithm == "comp-min" and record.y != g_y:
+                raise VerificationError(
+                    f"applied target {record.y} != basis-scan target {g_y} "
+                    f"at x={record.x}, pseudo={record.pseudo}"
+                )
         if options.algorithm == "comp-min" and record.distance != brute_d:
             raise VerificationError(
                 f"applied distance {record.distance} != minimal {brute_d} "

@@ -19,6 +19,7 @@ from .configs import (
     config_matrix,
     config_space,
     enumerate_configurations,
+    min_affected_target,
     pseudo_configurations,
     solve_any_target,
 )
@@ -210,16 +211,20 @@ class VerifySummary:
 
 
 def _check_state_pair(state, k, counts):
-    """Compare basis-scan and deepening-search answers on one state."""
+    """Compare the engine's planner with the basis scan and the deepening
+    search on one state."""
     pseudo, x, u = state
     matrix = config_matrix(k, pseudo)
     any_y = solve_any_target(matrix, u)
     basis = graver_basis_for(k, pseudo)
     g = graver_min_move(basis, x)
+    min_y = min_affected_target(matrix, x)
     if any_y is None:
         counts["infeasible"] += 1
         if g is not None:
             return f"basis move exists for unsolvable state x={x}, pseudo={pseudo}"
+        if min_y is not None:
+            return f"planner target exists for unsolvable state x={x}, pseudo={pseudo}"
         return None
     counts["feasible"] += 1
     # x holds one coordinate for the merged pair, so it sums to l - 1
@@ -239,6 +244,11 @@ def _check_state_pair(state, k, counts):
         return (
             f"distance mismatch {g_d} != {brute_d} at x={x}, pseudo={pseudo}"
         )
+    if min_y != y:
+        return f"planner target {min_y} != basis target {y} at x={x}, pseudo={pseudo}"
+    min_d = sum(abs(a - b) for a, b in zip(x, min_y))
+    if min_d != brute_d:
+        return f"planner distance {min_d} != {brute_d} at x={x}, pseudo={pseudo}"
     return None
 
 
@@ -387,7 +397,7 @@ def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
             if failures
             else (
                 f"{counts['feasible']} solvable and {counts['infeasible']} "
-                "unsolvable states agree across both planners"
+                "unsolvable states agree across all three planners"
             ),
         )
     )

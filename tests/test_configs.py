@@ -5,6 +5,8 @@ repart.verify, which was written before this module and frozen here.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repart.configs import (
     brute_force_min_target,
@@ -15,12 +17,15 @@ from repart.configs import (
     demand_packable,
     enumerate_configurations,
     is_valid_target,
+    min_affected_target,
     nd,
     pseudo_configuration,
     pseudo_configurations,
     solve_any_target,
 )
+from repart.engine import graver_min_move
 from repart.errors import InputError, InvariantViolation, ResourceLimitError
+from repart.graver import graver_basis_for
 from repart.rng import SplitMix64
 from repart.verify import partition_count, random_remap_states
 
@@ -257,3 +262,41 @@ def test_targets_have_norm_l_and_odd_distance():
             any_y = solve_any_target(matrix, u)
             assert any_y is not None
             assert sum(any_y) == l
+
+
+@st.composite
+def remap_states(draw, k_min, k_max, l_max):
+    """(k, pseudo, x) of a remap event with 2..l_max clusters."""
+    k = draw(st.integers(k_min, k_max))
+    pseudo = draw(st.sampled_from(pseudo_configurations(k)))
+    n_real = len(enumerate_configurations(k))
+    l = draw(st.integers(2, l_max))
+    x = [0] * n_real + [1]
+    for c in draw(st.lists(st.integers(0, n_real - 1), min_size=l - 2, max_size=l - 2)):
+        x[c] += 1
+    return k, pseudo, tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(remap_states(1, 5, 40))
+def test_min_affected_target_is_the_basis_scan_target(state):
+    k, pseudo, x = state
+    matrix = config_matrix(k, pseudo)
+    g = graver_min_move(graver_basis_for(k, pseudo), x)
+    want = None if g is None else tuple(a - b for a, b in zip(x, g))
+    assert min_affected_target(matrix, x) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(remap_states(6, 8, 12))
+def test_min_affected_target_distance_matches_deepening_search(state):
+    k, pseudo, x = state
+    matrix = config_matrix(k, pseudo)
+    u = matrix.mat_vec(x)
+    y = min_affected_target(matrix, x)
+    found = brute_force_min_target(x, matrix, u)
+    if found is None:
+        assert y is None
+        return
+    assert is_valid_target(y, matrix, u)
+    assert sum(abs(a - b) for a, b in zip(x, y)) == found[1]

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repart import configs
 from repart.engine import (
     ALGORITHMS,
     Engine,
@@ -145,10 +146,9 @@ def test_graver_candidate_selection():
     assert graver_min_move(basis, x) == (-1, -1, 1)
 
 
-def test_step_tags_are_the_declared_five():
+def test_step_tags_are_the_declared_four():
     assert {t.value for t in StepTag} == {
         "free",
-        "paid-intra-component-merge",
         "paid-merge-same-cluster",
         "paid-remap",
         "phase-reset",
@@ -223,12 +223,17 @@ def test_moves_touch_only_affected_clusters_and_respect_k():
 
 
 def test_unreachable_tag_is_never_emitted():
+    # endpoints of one component always share a cluster, so a request
+    # inside a component is free and a paid one never is
     for seed in range(10):
         inst = Instance(2 + seed % 3, 2 + seed % 2)
         eng = Engine(inst)
         for req in _random_requests(inst, 40, 4000 + seed):
+            inside = eng.partition.find(req.u) == eng.partition.find(req.v)
+            if inside:
+                assert eng.mapping.cluster_of(req.u) == eng.mapping.cluster_of(req.v)
             out = eng.serve(req)
-            assert out.tag is not StepTag.PAID_INTRA_COMPONENT_MERGE
+            assert (out.tag is StepTag.FREE) == inside
 
 
 def test_k2_remaps_always_affect_exactly_two_clusters():
@@ -298,9 +303,10 @@ def _engine_state(eng):
     )
 
 
-def test_serve_that_fails_to_plan_leaves_the_engine_unchanged():
-    # k=8 plans by the deepening search, which a budget of 5 nodes stops
-    eng = Engine(Instance(8, 4), node_budget=5)
+def test_serve_that_fails_to_plan_leaves_the_engine_unchanged(monkeypatch):
+    # with no search budget the planner stops at its first multiset
+    monkeypatch.setattr(configs, "DEFAULT_SEARCH_BUDGET", 0)
+    eng = Engine(Instance(8, 4))
     eng.serve(Request(0, 1))
     before = _engine_state(eng)
     for _ in range(2):
@@ -313,8 +319,9 @@ def test_serve_that_fails_to_plan_leaves_the_engine_unchanged():
     eng.audit()
 
 
-def test_reset_that_fails_to_plan_leaves_the_engine_unchanged():
-    eng = Engine(Instance(8, 2), node_budget=5)
+def test_reset_that_fails_to_plan_leaves_the_engine_unchanged(monkeypatch):
+    monkeypatch.setattr(configs, "DEFAULT_SEARCH_BUDGET", 0)
+    eng = Engine(Instance(8, 2))
     for v in range(1, 5):
         eng.serve(Request(0, v))
         eng.serve(Request(8, 8 + v))

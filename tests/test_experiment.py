@@ -160,3 +160,12 @@ def test_records_and_events_are_not_serialized():
     payload = report.to_dict()
     assert "records" not in payload
     assert "events" not in payload
+
+
+def test_verified_run_above_the_graver_guard():
+    # k=8 has no Graver basis: --verify checks every remap against the
+    # deepening search alone
+    workload = generate_workload("uniform-random", Instance(8, 4), 40, 3)
+    report = run_experiment(workload, ExperimentOptions(verify=True))
+    assert report.verified is True
+    assert len(report.records) > 5
