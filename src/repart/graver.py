@@ -17,7 +17,6 @@ sign-compatible subtraction, then keep the sign-order-minimal elements.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,17 +176,15 @@ def compute_graver(matrix: ConfigMatrix, k_guard: int = GRAVER_K_GUARD) -> Grave
 
 
 _BASIS_CACHE: dict = {}
-_BASIS_LOCK = threading.Lock()
 
 
 def graver_basis_for(k: int, pseudo, k_guard: int = GRAVER_K_GUARD) -> GraverBasis:
-    """Memoized per (k, pseudo); the memo is guarded for exclusive access."""
+    """Memoized per (k, pseudo)."""
     key = (k, tuple(pseudo))
-    with _BASIS_LOCK:
-        basis = _BASIS_CACHE.get(key)
-        if basis is None:
-            basis = compute_graver(config_matrix(k, key[1]), k_guard)
-            _BASIS_CACHE[key] = basis
+    basis = _BASIS_CACHE.get(key)
+    if basis is None:
+        basis = compute_graver(config_matrix(k, key[1]), k_guard)
+        _BASIS_CACHE[key] = basis
     return basis
 
 

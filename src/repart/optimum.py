@@ -1,11 +1,21 @@
-"""Brute-force offline optimum for tiny instances.
+"""Exact offline optimum for tiny instances.
 
-Dynamic program over every labeled valid mapping (exactly k nodes per
-cluster, clusters distinguishable). Transition cost between mappings is
-the number of nodes assigned differently; serving a request costs 1
-when its endpoints sit in different clusters under the current mapping,
-else 0. Moves happen before the request they precede; the result is the
-exact optimum and the denominator of empirical competitive ratios.
+The optimum is the work function of a metrical task system over labeled
+valid mappings (exactly k nodes per cluster, clusters distinguishable):
+moving between mappings costs the number of nodes assigned differently,
+and serving a request costs 1 when its endpoints sit in different
+clusters under the current mapping, else 0. Moves happen before the
+request they precede; the result is the exact optimum and the
+denominator of empirical competitive ratios.
+
+The DP runs over the full label grid [l]^n, one axis per node, so no
+mapping is enumerated and no pairwise distance is stored. The Hamming
+transition min_i W(i) + |{v : i_v != j_v}| separates by node: one
+min-plus step along each axis is an exact distance transform (the
+discrete case of Felzenszwalb & Huttenlocher). Label vectors without
+exactly k nodes per cluster are set back to infinity after every
+transition, so moves may pass through them but the play may not rest
+on them.
 
 Mappings are deliberately not quotiented by cluster relabeling: the
 move metric depends on concrete cluster identities.
@@ -17,7 +27,7 @@ time and memory.
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
 from .model import Instance, Mapping, validate_request
@@ -32,88 +42,60 @@ def _guard(instance: Instance) -> None:
         )
 
 
-def enumerate_valid_mappings(instance: Instance) -> np.ndarray:
-    """All valid assignment vectors as int8 rows, lexicographic order."""
+def _labels(instance: Instance) -> tuple:
+    """Per node, the cluster labels 0..l-1 laid along that node's grid axis."""
     import numpy as np
 
+    return np.ix_(*[np.arange(instance.l)] * instance.n)
+
+
+@lru_cache(maxsize=None)  # unbounded is safe: few (k, l) pass the guard
+def _valid_mask(k: int, l: int):
+    """Read-only bool grid over [l]^n: True where every cluster holds k nodes."""
+    import numpy as np
+
+    labels = _labels(Instance(k, l))
+    mask = np.ones((l,) * (k * l), dtype=bool)
+    for c in range(l):
+        count = np.zeros_like(mask, dtype=np.int8)
+        for axis in labels:
+            count += axis == c
+        mask &= count == k
+    mask.flags.writeable = False
+    return mask
+
+
+def _checked_requests(instance: Instance, requests) -> list:
     _guard(instance)
-    k, l, n = instance.k, instance.l, instance.n
-    rows = []
-    assign = [0] * n
-    counts = [0] * l
-
-    def rec(i):
-        if i == n:
-            rows.append(assign.copy())
-            return
-        for c in range(l):
-            if counts[c] < k:
-                counts[c] += 1
-                assign[i] = c
-                rec(i + 1)
-                counts[c] -= 1
-
-    rec(0)
-    return np.array(rows, dtype=np.int8)
-
-
-_MAPS_CACHE: dict = {}
-_DIST_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _mappings(instance: Instance) -> np.ndarray:
-    key = (instance.k, instance.l)
-    with _CACHE_LOCK:
-        maps = _MAPS_CACHE.get(key)
-        if maps is None:
-            maps = enumerate_valid_mappings(instance)
-            _MAPS_CACHE[key] = maps
-    return maps
-
-
-def _distances(instance: Instance) -> np.ndarray:
-    import numpy as np
-
-    key = (instance.k, instance.l)
-    with _CACHE_LOCK:
-        dist = _DIST_CACHE.get(key)
-    if dist is not None:
-        return dist
-    maps = _mappings(instance)
-    s = len(maps)
-    dist = np.empty((s, s), dtype=np.int16)
-    step = max(1, (1 << 22) // (s * instance.n))  # cap chunk scratch at ~4MB
-    for lo in range(0, s, step):
-        hi = min(s, lo + step)
-        dist[lo:hi] = (maps[lo:hi, None, :] != maps[None, :, :]).sum(
-            axis=2, dtype=np.int16
-        )
-    with _CACHE_LOCK:
-        _DIST_CACHE[key] = dist
-    return dist
+    requests = list(requests)
+    for r in requests:
+        validate_request(instance, r)
+    return requests
 
 
 def opt_cost(instance: Instance, initial: Mapping, requests) -> int:
     """Minimum total communication + migration over all offline plays."""
     import numpy as np
 
-    _guard(instance)
-    requests = list(requests)
-    for r in requests:
-        validate_request(instance, r)
+    requests = _checked_requests(instance, requests)
+    if initial.instance != instance:
+        raise InputError(
+            f"initial mapping is for {initial.instance}, not {instance}"
+        )
     if instance.k == 1:
         # singleton clusters: every request is inter-cluster under every
         # mapping and moving nodes never changes that
         return len(requests)
-    maps = _mappings(instance)
-    dist = _distances(instance)
-    init = np.array(initial.as_list(), dtype=np.int8)
-    cost = (maps != init).sum(axis=1).astype(np.int32)
+    labels = _labels(instance)
+    invalid = ~_valid_mask(instance.k, instance.l)
+    work = np.full((instance.l,) * instance.n, np.inf)
+    work[tuple(initial.as_list())] = 0.0
     for r in requests:
-        cost = (cost[:, None] + dist).min(axis=0)
-        cost += (maps[:, r.u] != maps[:, r.v]).astype(np.int32)
-    return int(cost.min())
+        for v in range(instance.n):
+            np.minimum(work, work.min(axis=v, keepdims=True) + 1, out=work)
+        np.copyto(work, np.inf, where=invalid)
+        work += labels[r.u] != labels[r.v]
+    return int(work.min())
 
 
 def opt_per_phase_lower_bound(instance: Instance, requests, phase_ranges) -> list:
@@ -122,12 +104,7 @@ def opt_per_phase_lower_bound(instance: Instance, requests, phase_ranges) -> lis
     True certifies that any offline strategy pays at least 1 inside the
     range (communication if it never moves, a move otherwise).
     """
-    import numpy as np
-
-    _guard(instance)
-    requests = list(requests)
-    for r in requests:
-        validate_request(instance, r)
+    requests = _checked_requests(instance, requests)
     checked = []
     for start, end in phase_ranges:
         if not 0 <= start <= end <= len(requests):
@@ -138,13 +115,13 @@ def opt_per_phase_lower_bound(instance: Instance, requests, phase_ranges) -> lis
     if instance.k == 1:
         # any nonempty range qualifies: endpoints can never share a cluster
         return [end > start for start, end in checked]
-    maps = _mappings(instance)
+    labels = _labels(instance)
+    valid = _valid_mask(instance.k, instance.l)
     results = []
     for start, end in checked:
-        alive = np.ones(len(maps), dtype=bool)
-        for idx in range(start, end):
-            r = requests[idx]
-            alive &= maps[:, r.u] == maps[:, r.v]
+        alive = valid.copy()
+        for r in requests[start:end]:
+            alive &= labels[r.u] == labels[r.v]
             if not alive.any():
                 break
         results.append(not alive.any())

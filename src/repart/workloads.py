@@ -165,6 +165,11 @@ def generate_workload(kind: str, instance: Instance, length: int, seed: int) -> 
     )
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_workload(path) -> Workload:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -176,7 +181,7 @@ def load_workload(path) -> Workload:
     if not isinstance(data, dict):
         raise InputError("workload file must hold a JSON object")
     for key in ("k", "l"):
-        if not isinstance(data.get(key), int):
+        if not _is_int(data.get(key)):
             raise InputError(f"workload field {key!r} must be an integer")
     instance = Instance(data["k"], data["l"])
     raw = data.get("requests")
@@ -187,7 +192,7 @@ def load_workload(path) -> Workload:
         if not (
             isinstance(entry, list)
             and len(entry) == 2
-            and all(isinstance(x, int) for x in entry)
+            and all(_is_int(x) for x in entry)
         ):
             raise InputError(f"malformed request entry {entry!r}")
         r = Request(entry[0], entry[1])
@@ -195,7 +200,9 @@ def load_workload(path) -> Workload:
         requests.append(r)
     initial = None
     if data.get("initial") is not None:
-        if not isinstance(data["initial"], list):
+        if not (
+            isinstance(data["initial"], list) and all(_is_int(c) for c in data["initial"])
+        ):
             raise InputError("workload field 'initial' must be a list of cluster ids")
         initial = Mapping(instance, data["initial"])
     return Workload(

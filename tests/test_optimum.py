@@ -1,16 +1,22 @@
-"""Tests for the exhaustive offline-optimum oracle and phase certificates."""
+"""Tests for the offline optimum and the phase certificates."""
 
+import itertools
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repart
 from repart.engine import Engine
 from repart.errors import InputError, ResourceLimitError
 from repart.model import Instance, Mapping, Request
 from repart.optimum import (
     OPT_N_GUARD,
-    enumerate_valid_mappings,
+    _valid_mask,
     opt_cost,
     opt_per_phase_lower_bound,
 )
@@ -23,20 +29,88 @@ def _default(instance):
 
 
 def test_mapping_enumeration_counts():
-    assert len(enumerate_valid_mappings(Instance(2, 2))) == 6
-    assert len(enumerate_valid_mappings(Instance(1, 3))) == 6
-    assert len(enumerate_valid_mappings(Instance(3, 2))) == 20
+    # the valid mask holds n!/(k!)^l label vectors
+    assert _valid_mask(2, 2).sum() == 6
+    assert _valid_mask(1, 3).sum() == 6
+    assert _valid_mask(3, 2).sum() == 20
 
 
 def test_enumerated_mappings_are_valid_and_unique():
     inst = Instance(2, 3)
-    maps = enumerate_valid_mappings(inst)
+    mask = _valid_mask(inst.k, inst.l)
+    assert mask.shape == (inst.l,) * inst.n
     seen = set()
-    for row in maps:
-        assigned = tuple(int(c) for c in row)
-        assert assigned not in seen
-        seen.add(assigned)
-        assert Mapping(inst, list(assigned)).is_valid()
+    for cell in itertools.product(range(inst.l), repeat=inst.n):
+        if mask[cell]:
+            assert Mapping(inst, list(cell)).is_valid()
+            assert cell not in seen
+            seen.add(cell)
+        else:
+            with pytest.raises(InputError):
+                Mapping(inst, list(cell))
+    assert len(seen) == 90
+
+
+# every shape with at most 90 valid mappings, so the dense reference stays small
+SMALL_SHAPES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2))
+
+
+def _dense_reference(inst, initial, requests, phase_ranges):
+    """Both answers by the textbook DP over an explicit list of mappings."""
+    maps = [
+        m
+        for m in itertools.product(range(inst.l), repeat=inst.n)
+        if all(m.count(c) == inst.k for c in range(inst.l))
+    ]
+    assert len(maps) == math.factorial(inst.n) // math.factorial(inst.k) ** inst.l
+    assert _valid_mask(inst.k, inst.l).sum() == len(maps)
+
+    def hamming(a, b):
+        return sum(x != y for x, y in zip(a, b))
+
+    start = tuple(initial.as_list())
+    cost = {m: hamming(start, m) for m in maps}
+    for r in requests:
+        cost = {
+            j: min(cost[i] + hamming(i, j) for i in maps) + (j[r.u] != j[r.v])
+            for j in maps
+        }
+    certificates = [
+        not any(
+            all(m[r.u] == m[r.v] for r in requests[lo:hi]) for m in maps
+        )
+        for lo, hi in phase_ranges
+    ]
+    return min(cost.values()), certificates
+
+
+@st.composite
+def small_runs(draw):
+    k, l = draw(st.sampled_from(SMALL_SHAPES))
+    inst = Instance(k, l)
+    n = inst.n
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    raw = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=10))
+    requests = [Request(u, v) for u, v in raw]
+    if draw(st.booleans()):
+        initial = Mapping.default(inst)
+    else:
+        order = draw(st.permutations(range(n)))
+        initial = Mapping(inst, [order.index(node) // k for node in range(n)])
+    bound = st.integers(0, len(requests))
+    ranges = [tuple(sorted(p)) for p in draw(st.lists(st.tuples(bound, bound)))]
+    return inst, initial, requests, ranges
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_optimum_matches_dense_reference(run):
+    inst, initial, requests, ranges = run
+    expected_cost, expected_certificates = _dense_reference(
+        inst, initial, requests, ranges
+    )
+    assert opt_cost(inst, initial, requests) == expected_cost
+    assert opt_per_phase_lower_bound(inst, requests, ranges) == expected_certificates
 
 
 def test_opt_empty_request_list():
@@ -118,6 +192,14 @@ def test_opt_rejects_bad_requests():
         opt_cost(inst, _default(inst), [Request(0, 9)])
 
 
+def test_opt_rejects_initial_mapping_of_another_instance():
+    inst = Instance(2, 3)
+    with pytest.raises(InputError):
+        opt_cost(inst, _default(Instance(2, 2)), [Request(0, 1)])
+    with pytest.raises(InputError):
+        opt_cost(Instance(1, 4), _default(Instance(2, 2)), [])
+
+
 def test_phase_certificate_empty_range_is_false():
     inst = Instance(2, 2)
     assert opt_per_phase_lower_bound(inst, [Request(0, 2)], [(0, 0)]) == [False]
@@ -161,8 +243,13 @@ def test_k1_certificates_any_nonempty_phase():
 
 
 def test_importing_the_package_does_not_load_numpy():
-    # only the offline optimum needs numpy; it is imported on first use
-    probe = "import sys, repart; print('numpy' in sys.modules)"
+    # only the offline optimum needs numpy; it is imported on first use.
+    # The child imports the package this test imported, from wherever it is.
+    src = str(Path(repart.__file__).parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import repart; "
+        "print('numpy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )

@@ -184,6 +184,12 @@ def test_save_workload_refuses_adaptive(tmp_path):
         json.dumps({"k": 2, "l": 2, "requests": [[1, 1]]}),
         json.dumps({"k": 2, "l": 2, "requests": [], "initial": [0, 0, 0, 1]}),
         json.dumps({"k": 2, "l": 2, "requests": [], "initial": [0, 0]}),
+        json.dumps({"k": True, "l": 2, "requests": []}),
+        json.dumps({"k": 2, "l": True, "requests": []}),
+        json.dumps({"k": 2, "l": 2, "requests": [[False, True]]}),
+        json.dumps(
+            {"k": 2, "l": 2, "requests": [], "initial": [False, False, True, True]}
+        ),
     ],
 )
 def test_load_workload_rejects_malformed_files(tmp_path, payload):
