@@ -371,6 +371,19 @@ def demand_packable(u, k: int) -> bool:
     return _packable(tuple(u), k)
 
 
+def merge_packable(demand, a: int, b: int, k: int) -> bool:
+    """Does the size demand still pack once a size-a and a size-b
+    component merge? demand[s - 1] counts the size-s components.
+    """
+    if a + b > k:
+        return False
+    after = list(demand)
+    after[a - 1] -= 1
+    after[b - 1] -= 1
+    after[a + b - 1] += 1
+    return demand_packable(tuple(after), k)
+
+
 # A bounded memo: an entry is a few hundred bytes, and adaptive
 # workloads ask about the same demand vectors over and over.
 @lru_cache(maxsize=1 << 14)

@@ -40,6 +40,7 @@ from .configs import (
     counts_from_sizes,
     demand_packable,
     is_valid_target,
+    merge_packable,
     min_affected_target,
     revlex_key,
     solve_any_target,
@@ -90,19 +91,6 @@ def feasibility_exists(component_sizes, instance: Instance) -> bool:
     return demand_packable(tuple(demand), instance.k)
 
 
-def _merge_packable(demand, a: int, b: int, k: int) -> bool:
-    """feasibility_exists for the sizes in demand once a size-a and a
-    size-b component merge; demand[s - 1] counts the size-s components.
-    """
-    if a + b > k:
-        return False
-    after = list(demand)
-    after[a - 1] -= 1
-    after[b - 1] -= 1
-    after[a + b - 1] += 1
-    return demand_packable(tuple(after), k)
-
-
 def graver_candidates(basis, x) -> list:
     """Basis elements applicable at state x that resolve the pseudo.
 
@@ -133,15 +121,11 @@ def graver_min_move(basis, x):
 class RemapPlan:
     pseudo: tuple
     x: tuple
+    u: tuple
     y: tuple
     distance: int
     affected: tuple
-    placement: tuple
     moves: tuple
-
-    @property
-    def affected_count(self) -> int:
-        return len(self.affected)
 
 
 @dataclass(frozen=True)
@@ -285,7 +269,7 @@ class Engine:
 
         k = self.instance.k
         sizes = partition.size_of(ru), partition.size_of(rv)
-        if not _merge_packable(partition.demand(k), *sizes, k):
+        if not merge_packable(partition.demand(k), *sizes, k):
             return self._reset_and_reprocess(request, index)
         plan = self._build_plan(partition, self.census, u, v)
         self.ledger.charge_communication(1)
@@ -303,7 +287,7 @@ class Engine:
         partition = ComponentPartition(self.instance.n)
         census = ClusterCensus(self.instance)
         plan = None
-        if _merge_packable(partition.demand(k), 1, 1, k):
+        if merge_packable(partition.demand(k), 1, 1, k):
             plan = self._build_plan(partition, census, request.u, request.v)
 
         old_phase = self.phase
@@ -388,7 +372,7 @@ class Engine:
         if not is_valid_target(y, matrix, demand):
             raise InvariantViolation(f"planned target {y} is not valid")
         distance = sum(abs(a - b) for a, b in zip(x, y))
-        affected, placement, moves = self._realize(
+        affected, moves = self._realize(
             partition, census, span, (ru, rv), x, y, space
         )
         if len(affected) != (distance + 1) // 2:
@@ -398,10 +382,10 @@ class Engine:
         return RemapPlan(
             pseudo=pseudo,
             x=x,
+            u=demand,
             y=y,
             distance=distance,
             affected=tuple(affected),
-            placement=tuple(sorted(placement.items())),
             moves=tuple(moves),
         )
 
@@ -502,7 +486,7 @@ class Engine:
                 if self.mapping.cluster_of(node) != target:
                     moves.append((node, target))
         moves.sort()
-        return affected, placed, moves
+        return affected, moves
 
     def _apply_plan(self, plan: RemapPlan, request: Request) -> None:
         self.partition.merge(request.u, request.v)
@@ -511,7 +495,7 @@ class Engine:
             request=request,
             pseudo=plan.pseudo,
             x=plan.x,
-            u=config_matrix(self.instance.k, plan.pseudo).mat_vec(plan.x),
+            u=plan.u,
             y=plan.y,
             distance=plan.distance,
             affected=plan.affected,

@@ -20,17 +20,22 @@ on them.
 Mappings are deliberately not quotiented by cluster relabeling: the
 move metric depends on concrete cluster identities.
 
-numpy is imported by the functions that use it: only the optimum needs
-it, and importing it with the package would double the package's import
-time and memory.
+The phase certificates need no grid: some valid mapping keeps every
+request of a range inside one cluster exactly when the components the
+range's requests form pack into l clusters of k, the test that also
+ends the online algorithm's phases. So only opt_cost is guarded at
+n <= OPT_N_GUARD, and only it uses numpy, which it imports on first
+use: importing numpy with the package would double the package's
+import time and memory.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .configs import demand_packable
 from .errors import InputError, ResourceLimitError
-from .model import Instance, Mapping, validate_request
+from .model import ComponentPartition, Instance, Mapping, validate_request
 
 OPT_N_GUARD = 9
 
@@ -66,7 +71,6 @@ def _valid_mask(k: int, l: int):
 
 
 def _checked_requests(instance: Instance, requests) -> list:
-    _guard(instance)
     requests = list(requests)
     for r in requests:
         validate_request(instance, r)
@@ -77,6 +81,7 @@ def opt_cost(instance: Instance, initial: Mapping, requests) -> int:
     """Minimum total communication + migration over all offline plays."""
     import numpy as np
 
+    _guard(instance)
     requests = _checked_requests(instance, requests)
     if initial.instance != instance:
         raise InputError(
@@ -102,27 +107,19 @@ def opt_per_phase_lower_bound(instance: Instance, requests, phase_ranges) -> lis
     """One boolean per range: does every mapping split some request in it?
 
     True certifies that any offline strategy pays at least 1 inside the
-    range (communication if it never moves, a move otherwise).
+    range (communication if it never moves, a move otherwise). It holds
+    when the components the range's requests form do not pack: one of
+    them outgrows k, or their size demand fills no l clusters of k.
     """
     requests = _checked_requests(instance, requests)
-    checked = []
+    k = instance.k
+    results = []
     for start, end in phase_ranges:
         if not 0 <= start <= end <= len(requests):
             raise InputError(
                 f"phase range ({start}, {end}) outside 0..{len(requests)}"
             )
-        checked.append((start, end))
-    if instance.k == 1:
-        # any nonempty range qualifies: endpoints can never share a cluster
-        return [end > start for start, end in checked]
-    labels = _labels(instance)
-    valid = _valid_mask(instance.k, instance.l)
-    results = []
-    for start, end in checked:
-        alive = valid.copy()
-        for r in requests[start:end]:
-            alive &= labels[r.u] == labels[r.v]
-            if not alive.any():
-                break
-        results.append(not alive.any())
+        partition = ComponentPartition(instance.n)
+        grown = any(partition.merge(r.u, r.v).size > k for r in requests[start:end])
+        results.append(grown or not demand_packable(partition.demand(k), k))
     return results

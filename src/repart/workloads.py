@@ -16,7 +16,12 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import feasibility_exists
+from .configs import merge_packable
+
+# Unused here: perfbench/test_perfbench.py::test_layers_patch_every_binding_and_restore
+# reads this binding. ROADMAP item 1 stops the benchmark binding it and
+# then removes this import.
+from .engine import feasibility_exists  # noqa: F401
 from .errors import InputError
 from .model import ComponentPartition, Instance, Mapping, Request, validate_request
 from .rng import SplitMix64
@@ -82,12 +87,13 @@ class _MergeChainGenerator:
         self.partition = ComponentPartition(instance.n)
 
     def next(self, mapping):
+        k = self.instance.k
+        demand = self.partition.demand(k)
         # (smallest member, size, cluster), so m1 < m2 in every pair below
         comps = sorted(
             (min(members), len(members), mapping.cluster_of(members[0]))
             for members in self.partition.member_lists().values()
         )
-        sizes = [s for _, s, _ in comps]
         feasible = {}  # feasibility depends on the two sizes alone
         best = None
         for (m1, s1, c1), (m2, s2, c2) in combinations(comps, 2):
@@ -96,7 +102,7 @@ class _MergeChainGenerator:
             pair = (s1, s2) if s1 <= s2 else (s2, s1)
             ok = feasible.get(pair)
             if ok is None:
-                ok = feasible[pair] = self._merge_feasible(sizes, s1, s2)
+                ok = feasible[pair] = merge_packable(demand, s1, s2, k)
             key = (0 if ok else 1, -(s1 + s2), m1, m2)
             if best is None or key < best:
                 best = key
@@ -106,22 +112,13 @@ class _MergeChainGenerator:
         self._mirror(u, v)
         return Request(u, v)
 
-    def _merge_feasible(self, sizes, a: int, b: int) -> bool:
-        after = list(sizes)
-        after.remove(a)
-        after.remove(b)
-        after.append(a + b)
-        return feasibility_exists(after, self.instance)
-
     def _mirror(self, u: int, v: int) -> None:
-        part = self.partition
-        sizes = [len(members) for members in part.member_lists().values()]
-        if self._merge_feasible(sizes, part.size_of(u), part.size_of(v)):
-            part.merge(u, v)
-        else:
+        part, k = self.partition, self.instance.k
+        if not merge_packable(part.demand(k), part.size_of(u), part.size_of(v), k):
             part.reset()
-            if self.instance.k >= 2:
-                part.merge(u, v)
+            if not merge_packable(part.demand(k), 1, 1, k):
+                return  # k = 1: the engine drops the reprocessed merge
+        part.merge(u, v)
 
 
 def _uniform_requests(instance: Instance, length: int, seed: int) -> tuple:

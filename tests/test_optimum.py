@@ -182,8 +182,6 @@ def test_opt_guard():
     assert inst.n > OPT_N_GUARD
     with pytest.raises(ResourceLimitError):
         opt_cost(inst, _default(inst), [])
-    with pytest.raises(ResourceLimitError):
-        opt_per_phase_lower_bound(inst, [], [(0, 0)])
 
 
 def test_opt_rejects_bad_requests():
@@ -236,6 +234,31 @@ def test_completed_phases_always_certify():
         assert all(flags)
 
 
+def test_certificates_beyond_the_optimum_guard():
+    inst = Instance(3, 4)
+    assert inst.n > OPT_N_GUARD
+    pairs = [Request(2 * i, 2 * i + 1) for i in range(6)]
+    # six size-2 components need six clusters of 3, and there are four
+    assert opt_per_phase_lower_bound(inst, pairs, [(0, 6)]) == [True]
+    assert opt_per_phase_lower_bound(inst, pairs, [(0, 3)]) == [False]
+    path = [Request(0, 1), Request(1, 2), Request(2, 3)]
+    assert opt_per_phase_lower_bound(inst, path, [(0, 3)]) == [True]
+    for kind, k, l, length in (("merge-chain", 4, 16, 150), ("uniform-random", 2, 40, 300)):
+        inst = Instance(k, l)
+        wl = generate_workload(kind, inst, length, 3)
+        eng = Engine(inst)
+        gen = wl.make_generator()
+        served = []
+        while len(served) < wl.length:
+            req = gen.next(eng.mapping)
+            if req is None:
+                break
+            served.append(req)
+            eng.serve(req)
+        assert eng.completed_phases
+        assert all(opt_per_phase_lower_bound(inst, served, eng.completed_phases))
+
+
 def test_k1_certificates_any_nonempty_phase():
     inst = Instance(1, 2)
     reqs = [Request(0, 1)]
@@ -246,11 +269,15 @@ def test_importing_the_package_does_not_load_numpy():
     # only the offline optimum needs numpy; it is imported on first use.
     # The child imports the package this test imported, from wherever it is.
     src = str(Path(repart.__file__).parents[1])
+    # nor do the phase certificates
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import repart; "
+        "print('numpy' in sys.modules); "
+        "repart.opt_per_phase_lower_bound("
+        "repart.Instance(2, 2), [repart.Request(0, 2)], [(0, 1)]); "
         "print('numpy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -1,6 +1,7 @@
 """Tests for workload generation, adaptive adversaries, and file round-trips."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -129,11 +130,24 @@ class _ReferenceMergeChain:
         return Request(u, v)
 
 
+def _shuffled_mapping(inst, seed):
+    nodes = list(range(inst.n))
+    random.Random(seed).shuffle(nodes)
+    assign = [0] * inst.n
+    for slot, node in enumerate(nodes):
+        assign[node] = slot // inst.k
+    return Mapping(inst, assign)
+
+
 def test_merge_chain_emits_the_reference_requests():
-    for k, l in ((1, 3), (2, 5), (3, 4), (4, 4)):
+    # block layouts, then seeded shuffled starts like the benchmark's
+    shapes = ((1, 3, None), (2, 5, None), (3, 4, None), (4, 4, None))
+    shapes += ((2, 4, 1), (3, 5, 2), (4, 6, 3))
+    for k, l, seed in shapes:
         inst = Instance(k, l)
+        initial = None if seed is None else _shuffled_mapping(inst, seed)
         wl = generate_workload("merge-chain", inst, 60, 0)
-        eng = Engine(inst)
+        eng = Engine(inst, initial)
         gen, ref = wl.make_generator(), _ReferenceMergeChain(inst)
         for _ in range(wl.length):
             req = gen.next(eng.mapping)
