@@ -23,7 +23,6 @@ from .configs import (
 from .engine import (
     ALGORITHMS,
     Engine,
-    RemapPlan,
     StepOutcome,
     StepTag,
     feasibility_exists,
@@ -57,7 +56,6 @@ __all__ = [
     "Instance",
     "InvariantViolation",
     "Mapping",
-    "RemapPlan",
     "RepartError",
     "Report",
     "Request",

@@ -150,9 +150,12 @@ def cmd_simulate(args) -> int:
     )
     report = run_experiment(workload, options)
     if args.events:
-        with open(args.events, "w", encoding="utf-8") as fh:
-            for entry in report.events:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        try:
+            with open(args.events, "w", encoding="utf-8") as fh:
+                for entry in report.events:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write event log: {exc}") from None
     out = report.to_csv() if args.format == "csv" else report.to_json()
     sys.stdout.write(out)
     return 0

@@ -391,12 +391,13 @@ def _packable(u: tuple, k: int) -> bool:
     return _pack_counts(u, enumerate_configurations(k)) is not None
 
 
-def brute_force_min_target(x, matrix: ConfigMatrix, u, node_budget=DEFAULT_SEARCH_BUDGET):
+def brute_force_min_target(x, matrix: ConfigMatrix, u):
     """Minimum-distance valid target by iterative deepening, or None.
 
     Searches w = x - y with pseudo coordinate 1, positive part <= x and
     A*w = 0, at exact L1 norm d = 3, 5, 7, ... Returns (y, d); ties at
     the minimal d resolve to the reverse-lexicographically smallest y.
+    Raises ResourceLimitError past DEFAULT_SEARCH_BUDGET search nodes.
     """
     q = matrix.q
     pi = matrix.pseudo_index
@@ -418,7 +419,7 @@ def brute_force_min_target(x, matrix: ConfigMatrix, u, node_budget=DEFAULT_SEARC
     for j in range(pi - 1, -1, -1):
         for i in range(k):
             suffix_max[j][i] = max(suffix_max[j + 1][i], cols[j][i])
-    budget = [node_budget]
+    budget = [DEFAULT_SEARCH_BUDGET]
 
     def search(d):
         sols = []
@@ -429,7 +430,7 @@ def brute_force_min_target(x, matrix: ConfigMatrix, u, node_budget=DEFAULT_SEARC
             budget[0] -= 1
             if budget[0] < 0:
                 raise ResourceLimitError(
-                    f"brute-force target search exceeded {node_budget} nodes"
+                    f"brute-force target search exceeded {DEFAULT_SEARCH_BUDGET} nodes"
                 )
             if j == pi:
                 if rem == 0 and all(p == 0 for p in partial):

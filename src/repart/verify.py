@@ -98,11 +98,11 @@ def box_kernel_vectors(matrix, bound: int) -> tuple:
     return tuple(sorted(out))
 
 
-def exhaustive_graver(matrix, k_guard: int = EXHAUSTIVE_GRAVER_K) -> tuple:
+def exhaustive_graver(matrix) -> tuple:
     """Sign-minimal kernel vectors by raw box enumeration."""
-    if matrix.k > k_guard:
+    if matrix.k > EXHAUSTIVE_GRAVER_K:
         raise ResourceLimitError(
-            f"exhaustive basis enumeration guarded at k <= {k_guard}"
+            f"exhaustive basis enumeration guarded at k <= {EXHAUSTIVE_GRAVER_K}"
         )
     bound = matrix.q * max_subdeterminant(matrix)
     vecs = box_kernel_vectors(matrix, bound)

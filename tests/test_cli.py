@@ -117,6 +117,17 @@ def test_simulate_events_file(golden_workload, tmp_path, capsys):
     assert json.loads(lines[1])["outcome"] == "free"
 
 
+def test_simulate_unwritable_events_file_is_an_input_error(
+    golden_workload, tmp_path, capsys
+):
+    events = tmp_path / "no-such-dir" / "events.jsonl"
+    argv = ["simulate", "--workload", golden_workload, "--events", str(events)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write event log: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repart import configs
 from repart.configs import (
     brute_force_min_target,
     build_state,
@@ -239,9 +240,10 @@ def test_brute_force_min_target_checks_state():
         brute_force_min_target(E1_X, E1_MATRIX, (9, 9))
 
 
-def test_brute_force_min_target_budget_guard():
+def test_brute_force_min_target_budget_guard(monkeypatch):
+    monkeypatch.setattr(configs, "DEFAULT_SEARCH_BUDGET", 1)
     with pytest.raises(ResourceLimitError):
-        brute_force_min_target(E1_X, E1_MATRIX, E1_U, node_budget=1)
+        brute_force_min_target(E1_X, E1_MATRIX, E1_U)
 
 
 def test_targets_have_norm_l_and_odd_distance():

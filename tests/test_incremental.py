@@ -37,8 +37,7 @@ def _assert_state_matches_recount(eng):
         [len(m) for m in components.values()], k
     )
     census = component_size_census(partition, mapping)
-    assert census.spanning is None
-    counts = [counts_from_sizes(sizes, k) for sizes in census.per_cluster]
+    counts = [counts_from_sizes(sizes, k) for sizes in census]
     assert eng.census.counts == counts
     for cfg, ids in eng.census.clusters_with.items():
         assert ids == [j for j, c in enumerate(counts) if c == cfg]

@@ -162,22 +162,16 @@ def test_census_groups_component_sizes_by_cluster():
     m = Mapping.default(inst)
     p = ComponentPartition(inst.n)
     p.merge(4, 5)
-    census = component_size_census(p, m)
-    assert census.per_cluster == ((1, 1), (1, 1), (2,))
-    assert census.spanning is None
+    assert component_size_census(p, m) == ((1, 1), (1, 1), (2,))
 
 
-def test_census_reports_single_spanning_component():
+def test_census_rejects_component_across_two_clusters():
     inst = Instance(2, 2)
     m = Mapping.default(inst)
     p = ComponentPartition(inst.n)
     p.merge(1, 2)
-    census = component_size_census(p, m)
-    assert census.per_cluster == ((1,), (1,))
-    assert census.spanning is not None
-    assert census.spanning.size == 2
-    assert census.spanning.clusters == (0, 1)
-    assert census.spanning.nodes == (1, 2)
+    with pytest.raises(InvariantViolation, match=r"component 1 spans clusters \[0, 1\]"):
+        component_size_census(p, m)
 
 
 def test_census_with_full_cluster_components():
@@ -186,9 +180,7 @@ def test_census_with_full_cluster_components():
     p = ComponentPartition(inst.n)
     p.merge(0, 1)
     p.merge(2, 3)
-    census = component_size_census(p, m)
-    assert census.per_cluster == ((2,), (2,))
-    assert census.spanning is None
+    assert component_size_census(p, m) == ((2,), (2,))
 
 
 def test_census_rejects_two_spanning_components():
@@ -216,12 +208,12 @@ def test_ledger_accumulates_per_phase_rows():
     led.charge_communication()
     led.charge_migration(2)
     led.record_remap(2)
-    led.begin_phase(1)
+    led.begin_phase(1, 4)
     led.charge_communication()
     assert led.communication == 2
     assert led.migration == 2
     assert led.total == 4
-    assert [r.phase for r in led.rows] == [0, 1]
+    assert [(r.phase, r.start) for r in led.rows] == [(0, 0), (1, 4)]
     first = led.rows[0]
     assert first.communication == 1
     assert first.migration == 2
@@ -233,7 +225,7 @@ def test_ledger_accumulates_per_phase_rows():
 def test_ledger_rejects_out_of_order_phase():
     led = CostLedger()
     with pytest.raises(InvariantViolation):
-        led.begin_phase(2)
+        led.begin_phase(2, 0)
 
 
 def test_ledger_rejects_negative_charges():
