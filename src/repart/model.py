@@ -7,10 +7,11 @@ the current phase; between requests every component lives entirely
 inside one cluster.
 
 Mappings keep the node set of each cluster. Partitions keep each
-node's root label, the member list of each root and the number of
-components of each size, so reading one cluster or one component never
-scans all n nodes. The cost ledger keeps one row per phase, with the
-request index that opened it.
+node's root label, the member list of each component of two or more
+nodes and the number of components of each size, so reading one
+cluster or one component never scans all n nodes, and starting a phase
+builds no per-node containers. The cost ledger keeps one row per phase,
+with the request index that opened it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError, InvariantViolation
 
@@ -129,13 +131,28 @@ class Mapping:
 MergeOutcome = namedtuple("MergeOutcome", ["merged", "size"])
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> tuple:
+    """0..n-1, kept so that every fresh label list of n nodes shares one
+    set of int objects instead of allocating and freeing n of them."""
+    return tuple(range(n))
+
+
 class ComponentPartition:
-    """Root label per node plus the member list of each root.
+    """Root label per node plus the member list of each non-singleton
+    component.
 
     A merge keeps the root of the larger component, ties going to the
     smaller root id, so the partition evolution is reproducible. It
     appends the smaller member list to the larger one and relabels the
     nodes it appended, so a node is relabeled O(log n) times per phase.
+
+    Only components of size >= 2 have a member list; a root without one
+    is a singleton, read as [root]. A fresh or reset partition is the
+    label list and the size counts, a constant number of containers
+    whatever n is. member_lists() and components() build every
+    component and cost O(n): audits, the merge-chain adversary and
+    tests call them, the engine's serve path never does.
     """
 
     def __init__(self, n: int):
@@ -145,8 +162,8 @@ class ComponentPartition:
         self.reset()
 
     def reset(self) -> None:
-        self._root = list(range(self.n))
-        self._members = {node: [node] for node in range(self.n)}
+        self._root = list(_identity(self.n))
+        self._members = {}  # root -> member list, components of size >= 2
         # _size_counts[s]: components of size s
         self._size_counts = [0] * (self.n + 1)
         self._size_counts[1] = self.n
@@ -163,30 +180,41 @@ class ComponentPartition:
 
     def merge(self, u: int, v: int) -> MergeOutcome:
         ru, rv = self.find(u), self.find(v)
-        sa = len(self._members[ru])
+        a = self._list(ru)
         if ru == rv:
-            return MergeOutcome(False, sa)
-        sb = len(self._members[rv])
+            return MergeOutcome(False, len(a))
+        b = self._list(rv)
+        sa, sb = len(a), len(b)
         keep = self.union_root(ru, sa, rv, sb)
-        gone = self._members.pop(rv if keep == ru else ru)
+        kept, gone, gone_root = (a, b, rv) if keep == ru else (b, a, ru)
+        self._members.pop(gone_root, None)
         for node in gone:
             self._root[node] = keep
-        self._members[keep].extend(gone)
+        kept.extend(gone)
+        self._members[keep] = kept
         self._size_counts[sa] -= 1
         self._size_counts[sb] -= 1
         self._size_counts[sa + sb] += 1
         return MergeOutcome(True, sa + sb)
 
+    def _list(self, root: int) -> list:
+        return self._members.get(root) or [root]
+
     def size_of(self, u: int) -> int:
-        return len(self._members[self.find(u)])
+        return len(self._list(self.find(u)))
 
     def members(self, u: int) -> list:
         """Members of u's component, in merge order; do not mutate."""
-        return self._members[self.find(u)]
+        return self._list(self.find(u))
 
     def member_lists(self) -> dict:
-        """root -> member list of every component; do not mutate."""
-        return self._members
+        """root -> member list of every component, roots in ascending
+        order; O(n). Do not mutate the lists."""
+        return {
+            root: self._list(root)
+            for root, label in enumerate(self._root)
+            if root == label
+        }
 
     def demand(self, k: int) -> tuple:
         """Component counts by size 1..k (entry s - 1 counts size s)."""
@@ -194,7 +222,7 @@ class ComponentPartition:
 
     @property
     def component_count(self) -> int:
-        return len(self._members)
+        return sum(self._size_counts)
 
     def components(self) -> dict:
         """root -> sorted member list, roots in ascending order.
@@ -208,10 +236,10 @@ class ComponentPartition:
         return dict(sorted(out.items()))
 
     def sizes(self) -> list:
-        return sorted((len(m) for m in self._members.values()), reverse=True)
+        return sorted((len(m) for m in self.member_lists().values()), reverse=True)
 
     def canonical(self) -> frozenset:
-        return frozenset(frozenset(m) for m in self._members.values())
+        return frozenset(frozenset(m) for m in self.member_lists().values())
 
     def copy(self) -> "ComponentPartition":
         other = ComponentPartition.__new__(ComponentPartition)

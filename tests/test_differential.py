@@ -9,17 +9,24 @@ the per-phase cap, and f_obs must be the largest affected count.
 At n <= 9 nearly every remap changes only the two merge participants
 (3 of 22 333 remaps over 3 000 drawn runs changed three), so the count
 check mostly guards the moves the engine realizes, not the planner's
-choice of target.
+choice of target. The planner is checked at up to 40 clusters against
+the census-level deepening search instead.
 """
 
 import dataclasses
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repart.engine import ALGORITHMS, replay_remaps
-from repart.model import Instance, Mapping
+from repart.configs import (
+    brute_force_min_target,
+    config_matrix,
+    enumerate_configurations,
+    min_affected_target,
+)
+from repart.engine import ALGORITHMS, Engine, replay_remaps
+from repart.model import Instance, Mapping, Request
 from repart.report import ExperimentOptions, run_experiment
 from repart.verify import min_affected_over_mappings
 from repart.workloads import KINDS, generate_workload
@@ -66,3 +73,45 @@ def test_every_remap_against_the_hosting_oracle(run):
         cap = (instance.n - 1) * (1 + instance.k * row["max_affected"])
         assert row["cost"] <= cap
     assert report.f_obs == max(report.remap_histogram, default=0)
+
+
+@st.composite
+def census_states(draw):
+    """A comp-min engine at k = 2..4 and l <= 40 whose clusters hold drawn
+    configurations, and a request joining components of two clusters."""
+    k = draw(st.integers(2, 4))
+    l = draw(st.integers(2, 40))
+    engine = Engine(Instance(k, l))
+    heads = []  # (first node, size, cluster) of every component
+    for j in range(l):
+        counts = draw(st.sampled_from(enumerate_configurations(k)))
+        node = j * k
+        for size in range(k, 0, -1):
+            for _ in range(counts[size - 1]):
+                for other in range(node + 1, node + size):
+                    engine.serve(Request(node, other))
+                heads.append((node, size, j))
+                node += size
+    pairs = [
+        (a, b)
+        for a, sa, ca in heads
+        for b, sb, cb in heads
+        if ca < cb and sa + sb <= k
+    ]
+    assume(pairs)
+    return engine, Request(*draw(st.sampled_from(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(census_states())
+def test_comp_min_plans_the_minimal_census_distance(state):
+    engine, request = state
+    outcome = engine.serve(request)
+    # a merge that cannot be hosted is planned again on singletons
+    record = outcome.plan or outcome.reprocess.plan
+    matrix = config_matrix(engine.instance.k, record.pseudo)
+    _, d = brute_force_min_target(record.x, matrix, record.u)
+    y = min_affected_target(matrix, record.x)
+    assert sum(abs(a - b) for a, b in zip(record.x, y)) == d
+    assert record.distance == d
+    assert len(record.affected) == (d + 1) // 2

@@ -1,10 +1,12 @@
 """Tests for the online engine: serve cases, remap plans, and phase resets."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from repart import configs
+from repart import configs, model
+from repart import engine as engine_module
 from repart.engine import (
     ALGORITHMS,
     Engine,
@@ -16,7 +18,7 @@ from repart.engine import (
 )
 from repart.errors import InputError, ResourceLimitError
 from repart.graver import graver_basis_for
-from repart.model import Instance, Mapping, Request
+from repart.model import ComponentPartition, Instance, Mapping, Request
 from repart.report import run_experiment
 from repart.rng import SplitMix64
 from repart.workloads import generate_workload
@@ -281,6 +283,39 @@ def test_large_instances_serve_cross_cluster_requests(k, l):
     report = run_experiment(workload)
     assert report.requests_served == 20
     assert report.records
+
+
+def test_serves_and_resets_stay_off_the_whole_state_scans(monkeypatch):
+    """Serving reads only the components and clusters a request touches:
+    the O(n) listings and recounts are for audit() alone."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [
+        (ComponentPartition, "member_lists"),
+        (ComponentPartition, "components"),
+        (Mapping, "is_valid"),
+        (model, "component_size_census"),
+        (engine_module, "component_size_census"),
+    ]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    inst = Instance(4, 1024)
+    eng = Engine(inst)
+    tags = Counter(
+        eng.serve(r).tag
+        for r in generate_workload("uniform-random", inst, 2000, 3).requests
+    )
+    assert tags[StepTag.PAID_REMAP] > 0
+    assert tags[StepTag.PHASE_RESET] > 0
+    assert calls == {}
+    eng.audit()
+    assert set(calls) == {"member_lists", "components", "is_valid", "component_size_census"}
 
 
 def _engine_state(eng):

@@ -1,6 +1,10 @@
 """Tests for instances, mappings, component tracking, and cost accounting."""
 
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repart.errors import InputError, InvariantViolation
 from repart.model import (
@@ -155,6 +159,124 @@ def test_partition_copy_is_independent():
     q.merge(2, 3)
     assert p.component_count == 3
     assert q.component_count == 2
+
+
+class _EagerPartition:
+    """Reference partition that keeps a member list for every root,
+    singletons included, in a dict built in ascending root order."""
+
+    def __init__(self, n):
+        self.n = n
+        self.reset()
+
+    def reset(self):
+        self._root = list(range(self.n))
+        self._members = {node: [node] for node in range(self.n)}
+        self._size_counts = [0] * (self.n + 1)
+        self._size_counts[1] = self.n
+
+    def find(self, u):
+        return self._root[u]
+
+    def merge(self, u, v):
+        ru, rv = self.find(u), self.find(v)
+        sa = len(self._members[ru])
+        if ru == rv:
+            return (False, sa)
+        sb = len(self._members[rv])
+        keep = ComponentPartition.union_root(ru, sa, rv, sb)
+        gone = self._members.pop(rv if keep == ru else ru)
+        for node in gone:
+            self._root[node] = keep
+        self._members[keep].extend(gone)
+        self._size_counts[sa] -= 1
+        self._size_counts[sb] -= 1
+        self._size_counts[sa + sb] += 1
+        return (True, sa + sb)
+
+    def size_of(self, u):
+        return len(self._members[self.find(u)])
+
+    def members(self, u):
+        return self._members[self.find(u)]
+
+    def member_lists(self):
+        return self._members
+
+    def demand(self, k):
+        return tuple(self._size_counts[1 : k + 1])
+
+    @property
+    def component_count(self):
+        return len(self._members)
+
+    def components(self):
+        out = {}
+        for node, root in enumerate(self._root):
+            out.setdefault(root, []).append(node)
+        return dict(sorted(out.items()))
+
+
+def _assert_same_partition(p, ref):
+    for u in range(p.n):
+        assert p.find(u) == ref.find(u)
+        assert p.size_of(u) == ref.size_of(u)
+        assert p.members(u) == ref.members(u)
+    assert list(p.member_lists().items()) == list(ref.member_lists().items())
+    for k in range(1, p.n + 1):
+        assert p.demand(k) == ref.demand(k)
+    assert p.components() == ref.components()
+    assert p.component_count == ref.component_count
+
+
+@st.composite
+def partition_steps(draw):
+    """(n, steps): each step is a merge (u, v) or, one time in four,
+    None for a reset."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    merge = st.tuples(node, node)
+    steps = draw(st.lists(st.one_of(merge, merge, merge, st.none()), max_size=60))
+    return n, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_steps())
+def test_partition_matches_eager_member_lists(case):
+    n, steps = case
+    p, ref = ComponentPartition(n), _EagerPartition(n)
+    _assert_same_partition(p, ref)
+    for step in steps:
+        if step is None:
+            p.reset()
+            ref.reset()
+        else:
+            assert tuple(p.merge(*step)) == ref.merge(*step)
+        _assert_same_partition(p, ref)
+
+
+def _tracked_objects_added(action):
+    """GC-tracked objects alive after action() minus those before it,
+    with collection off in between; returns (added, action's result)."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = action()
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    return added, result
+
+
+def test_fresh_and_reset_partitions_allocate_no_per_node_containers():
+    added, p = _tracked_objects_added(lambda: ComponentPartition(4096))
+    assert added < 16
+    for u in range(0, 4096, 2):
+        p.merge(u, u + 1)
+    added, _ = _tracked_objects_added(p.reset)
+    assert added < 16
+    assert p.component_count == 4096
 
 
 def test_census_groups_component_sizes_by_cluster():
