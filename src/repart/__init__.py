@@ -16,7 +16,6 @@ from .configs import (
     config_matrix,
     config_space,
     enumerate_configurations,
-    pseudo_configuration,
     pseudo_configurations,
     solve_any_target,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "load_workload",
     "opt_cost",
     "opt_per_phase_lower_bound",
-    "pseudo_configuration",
     "pseudo_configurations",
     "replay_remaps",
     "run_experiment",

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .configs import config_matrix, enumerate_configurations
-from .engine import ALGORITHMS
+from .engine import ALGORITHMS, event_lines
 from .errors import (
     InputError,
     InvariantViolation,
@@ -152,8 +152,7 @@ def cmd_simulate(args) -> int:
     if args.events:
         try:
             with open(args.events, "w", encoding="utf-8") as fh:
-                for entry in report.events:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                fh.writelines(event_lines(report.outcomes))
         except OSError as exc:
             raise InputError(f"cannot write event log: {exc}") from None
     out = report.to_csv() if args.format == "csv" else report.to_json()

@@ -156,28 +156,6 @@ def config_matrix(k: int, pseudo) -> ConfigMatrix:
     return ConfigMatrix(k, enumerate_configurations(k) + (pseudo,))
 
 
-def pseudo_configuration(residual_a, residual_b, merged_size: int, k: int) -> tuple:
-    """Count vector of the virtual double-capacity cluster at a merge.
-
-    residual_a/residual_b are the component sizes left in the two merge
-    participants once the merging components are taken out; merged_size
-    is the size of the freshly merged component.
-    """
-    if merged_size < 1:
-        raise InputError(f"merged component size must be positive, got {merged_size}")
-    if merged_size > k:
-        raise InputError(
-            f"merged component of size {merged_size} exceeds cluster capacity {k}"
-        )
-    counts = list(counts_from_sizes(list(residual_a) + list(residual_b), k))
-    counts[merged_size - 1] += 1
-    if nd(counts) != 2 * k:
-        raise InvariantViolation(
-            f"pseudo configuration {tuple(counts)} has nd={nd(counts)}, expected {2 * k}"
-        )
-    return tuple(counts)
-
-
 def build_state(censuses, pseudo, space: ConfigSpace):
     """Census of the non-participant clusters + pseudo -> (x, u).
 

@@ -28,14 +28,19 @@ clusters it changes. A phase reset builds no container per node: it
 copies one shared label tuple, zeroes n + 1 size counts and frees the
 old phase's member lists. Its median serve at k = 4 takes 129 / 156 /
 318 us at l = 64 / 256 / 1024, against 111-121 us for a remap (Python
-3.11, one core of an Intel Xeon). Each fact is kept once: phase ranges
-and f_obs are read from the cost ledger's rows. The audit after each
-request checks the clusters the request changed, the only ones that
-can have broken an invariant; audit() checks everything.
+3.11, one core of an Intel Xeon). Each fact is kept once. The run is
+the list of StepOutcomes serve returned, one per request; the request
+count, the remap records, the --events lines (event_lines) and the
+replay of remap before-states (replay_remaps) are read from it. The
+open phase, phase ranges and f_obs are read from the cost ledger's
+rows. The audit after each request checks the clusters the request
+changed, the only ones that can have broken an invariant; audit()
+checks everything.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -125,7 +130,7 @@ def graver_min_move(basis, x):
 @dataclass(frozen=True)
 class RemapRecord:
     """One remap event: planned in full before anything changes, then
-    applied and kept for after-the-fact auditing.
+    applied and kept in the run's outcome for after-the-fact auditing.
 
     replay_remaps() rebuilds the mapping and the components the event
     started from, so the record holds no O(n) snapshot.
@@ -144,6 +149,10 @@ class RemapRecord:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """What serving one request did. A phase reset carries the remap
+    that reprocessed its request in the new phase, if any, in
+    reprocess."""
+
     tag: StepTag
     request: Request
     phase: int
@@ -179,12 +188,21 @@ class Engine:
         self.partition = ComponentPartition(instance.n)
         self.census = ClusterCensus(instance)
         self.ledger = CostLedger()
-        self.phase = 0
-        self.requests_served = 0
-        self.event_log: list = []
-        self.remap_records: list = []
-        self.affected_histogram: Counter = Counter()
-        self.pseudos_used: set = set()
+        self.outcomes: list = []
+
+    @property
+    def phase(self) -> int:
+        """The open phase: the ledger keeps one row per phase."""
+        return len(self.ledger.rows) - 1
+
+    @property
+    def requests_served(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def remap_records(self) -> list:
+        """The run's remap records in order, read from the outcomes."""
+        return remap_records(self.outcomes)
 
     @property
     def f_obs(self) -> int:
@@ -209,9 +227,8 @@ class Engine:
 
     def serve(self, request: Request) -> StepOutcome:
         validate_request(self.instance, request)
-        index = self.requests_served
-        outcome = self._serve_case(request, index)
-        self.requests_served = index + 1
+        outcome = self._serve_case(request)
+        self.outcomes.append(outcome)
         return outcome
 
     def serve_all(self, requests) -> list:
@@ -255,28 +272,29 @@ class Engine:
 
     # -- serve internals -------------------------------------------------
 
-    def _serve_case(self, request: Request, index: int) -> StepOutcome:
+    def _serve_case(self, request: Request) -> StepOutcome:
         u, v = request.u, request.v
         partition = self.partition
         ru, rv = partition.find(u), partition.find(v)
         if ru == rv:
-            return self._emit(StepTag.FREE, request, comm=0)
+            return StepOutcome(StepTag.FREE, request, self.phase)
         cu = self.mapping.cluster_of(u)
         if cu == self.mapping.cluster_of(v):
             partition.merge(u, v)
             self._refresh((cu,))
-            return self._emit(StepTag.PAID_MERGE_SAME_CLUSTER, request, comm=0)
+            return StepOutcome(StepTag.PAID_MERGE_SAME_CLUSTER, request, self.phase)
 
         k = self.instance.k
         sizes = partition.size_of(ru), partition.size_of(rv)
         if not merge_packable(partition.demand(k), *sizes, k):
-            return self._reset_and_reprocess(request, index)
-        plan = self._build_plan(partition, self.census, request, self.phase)
+            return self._reset_and_reprocess(request)
+        phase = self.phase
+        plan = self._build_plan(partition, self.census, request, phase)
         self.ledger.charge_communication(1)
         self._apply_plan(plan)
-        return self._emit(StepTag.PAID_REMAP, request, comm=1, plan=plan)
+        return StepOutcome(StepTag.PAID_REMAP, request, phase, 1, plan)
 
-    def _reset_and_reprocess(self, request: Request, index: int) -> StepOutcome:
+    def _reset_and_reprocess(self, request: Request) -> StepOutcome:
         """End the phase and serve the request again on singletons.
 
         The fresh phase state is built and the request planned on it
@@ -286,49 +304,21 @@ class Engine:
         k = self.instance.k
         partition = ComponentPartition(self.instance.n)
         census = ClusterCensus(self.instance)
+        old_phase, new_phase = self.phase, self.phase + 1
         plan = None
         if merge_packable(partition.demand(k), 1, 1, k):
-            plan = self._build_plan(partition, census, request, self.phase + 1)
+            plan = self._build_plan(partition, census, request, new_phase)
 
-        old_phase = self.phase
         self.ledger.charge_communication(1)
         self.partition, self.census = partition, census
-        self.phase += 1
-        self.ledger.begin_phase(self.phase, index)
-        self._log(old_phase, request, StepTag.PHASE_RESET, comm=1, plan=None)
+        self.ledger.begin_phase(new_phase, len(self.outcomes))
         inner = None
         if plan is not None:
             self._apply_plan(plan)
-            inner = self._emit(StepTag.PAID_REMAP, request, comm=0, plan=plan)
+            inner = StepOutcome(StepTag.PAID_REMAP, request, new_phase, 0, plan)
         # without a plan (k=1) the merge is dropped and the fresh phase
         # stays all singletons
-        return StepOutcome(
-            tag=StepTag.PHASE_RESET,
-            request=request,
-            phase=old_phase,
-            communication=1,
-            plan=None,
-            reprocess=inner,
-        )
-
-    def _emit(self, tag: StepTag, request: Request, comm: int, plan=None):
-        self._log(self.phase, request, tag, comm, plan)
-        return StepOutcome(
-            tag=tag, request=request, phase=self.phase, communication=comm, plan=plan
-        )
-
-    def _log(self, phase: int, request: Request, tag: StepTag, comm: int, plan):
-        self.event_log.append(
-            {
-                "phase": phase,
-                "request": [request.u, request.v],
-                "outcome": tag.value,
-                "comm": comm,
-                "moves": 0 if plan is None else len(plan.moves),
-                "affected": 0 if plan is None else len(plan.affected),
-                "g_norm": None if plan is None else plan.distance,
-            }
-        )
+        return StepOutcome(StepTag.PHASE_RESET, request, old_phase, 1, reprocess=inner)
 
     # -- remap planning --------------------------------------------------
 
@@ -501,9 +491,6 @@ class Engine:
         self._refresh(plan.affected)
         self.ledger.charge_migration(len(plan.moves))
         self.ledger.record_remap(len(plan.affected))
-        self.remap_records.append(plan)
-        self.affected_histogram[len(plan.affected)] += 1
-        self.pseudos_used.add(plan.pseudo)
 
     def _refresh(self, clusters) -> None:
         """Recount the census of changed clusters and audit them.
@@ -528,32 +515,60 @@ class Engine:
             self.census.set(j, tuple(counts))
 
 
-def replay_remaps(instance: Instance, initial: Mapping | None, events, records):
+def remap_records(outcomes) -> list:
+    """The remap records of a run's outcomes in order, a reset's
+    reprocessed remap included."""
+    records = []
+    for outcome in outcomes:
+        step = outcome.reprocess or outcome
+        if step.plan is not None:
+            records.append(step.plan)
+    return records
+
+
+def event_lines(outcomes):
+    """The event log as JSON lines: one per outcome, and after a reset
+    one more for its reprocessed remap."""
+    for outcome in outcomes:
+        for step in (outcome, outcome.reprocess):
+            if step is None:
+                continue
+            plan = step.plan
+            entry = {
+                "phase": step.phase,
+                "request": [step.request.u, step.request.v],
+                "outcome": step.tag.value,
+                "comm": step.communication,
+                "moves": 0 if plan is None else len(plan.moves),
+                "affected": 0 if plan is None else len(plan.affected),
+                "g_norm": None if plan is None else plan.distance,
+            }
+            yield json.dumps(entry, sort_keys=True) + "\n"
+
+
+def replay_remaps(instance: Instance, initial: Mapping | None, outcomes):
     """Rebuild the state every remap event started from.
 
-    Replays the event log from the initial mapping (None: the block
-    layout), applying each record's moves in turn. Yields, per record
-    and in order, (record, mapping before its moves, components right
-    after its merge as sorted member tuples in ascending root order).
+    Replays the outcomes from the initial mapping (None: the block
+    layout), applying each remap's moves in turn. Yields, per remap
+    record and in order, (record, mapping before its moves, components
+    right after its merge as sorted member tuples in ascending root
+    order).
     """
     mapping = initial.copy() if initial is not None else Mapping.default(instance)
     partition = ComponentPartition(instance.n)
-    pending = iter(records)
-    for event in events:
-        u, v = event["request"]
-        outcome = event["outcome"]
-        if outcome == StepTag.PHASE_RESET.value:
+    for outcome in outcomes:
+        if outcome.tag is StepTag.PHASE_RESET:
             partition.reset()
-        elif outcome == StepTag.PAID_MERGE_SAME_CLUSTER.value:
-            partition.merge(u, v)
-        elif outcome == StepTag.PAID_REMAP.value:
-            record = next(pending, None)
-            if record is None or (record.request.u, record.request.v) != (u, v):
-                raise InvariantViolation("remap records disagree with the event log")
-            partition.merge(u, v)
+            outcome = outcome.reprocess
+            if outcome is None:
+                continue
+        if outcome.tag is StepTag.FREE:
+            continue
+        partition.merge(outcome.request.u, outcome.request.v)
+        record = outcome.plan
+        if record is not None:
             components = tuple(tuple(m) for m in partition.components().values())
             yield record, mapping.copy(), components
             for node, cluster in record.moves:
                 mapping.move(node, cluster)
-    if next(pending, None) is not None:
-        raise InvariantViolation("more remap records than remap events")

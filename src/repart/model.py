@@ -92,9 +92,19 @@ class Mapping:
             self._nodes[cluster].add(node)
 
     @classmethod
+    def _unchecked(cls, instance: Instance, assign: list, nodes: list) -> "Mapping":
+        """A mapping from parts already known to be valid."""
+        mapping = cls.__new__(cls)
+        mapping.instance, mapping._assign, mapping._nodes = instance, assign, nodes
+        return mapping
+
+    @classmethod
     def default(cls, instance: Instance) -> "Mapping":
         # node i starts in cluster i // k
-        return cls(instance, [i // instance.k for i in range(instance.n)])
+        k = instance.k
+        assign = [i // k for i in range(instance.n)]
+        nodes = [set(range(j * k, j * k + k)) for j in range(instance.l)]
+        return cls._unchecked(instance, assign, nodes)
 
     def cluster_of(self, node: int) -> int:
         return self._assign[node]
@@ -111,7 +121,8 @@ class Mapping:
         return list(self._assign)
 
     def copy(self) -> "Mapping":
-        return Mapping(self.instance, self._assign)
+        nodes = [members.copy() for members in self._nodes]
+        return Mapping._unchecked(self.instance, self._assign.copy(), nodes)
 
     def is_valid(self) -> bool:
         counts = [0] * self.instance.l

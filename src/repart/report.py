@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .configs import brute_force_min_target, config_matrix
-from .engine import ALGORITHMS, Engine, graver_min_move
+from .engine import ALGORITHMS, Engine, graver_min_move, remap_records
 from .errors import InputError, VerificationError
 from .graver import GRAVER_K_GUARD, SUBDET_K_GUARD, graver_basis_for, max_subdeterminant
 from .model import Instance, Mapping
@@ -65,9 +66,12 @@ class Report:
     opt: int | None = None
     phase_certificates: list | None = None
     verified: bool | None = None
-    events: list = field(default_factory=list, repr=False)
-    records: list = field(default_factory=list, repr=False)
-    requests: tuple = field(default=(), repr=False)
+    outcomes: list = field(default_factory=list, repr=False)
+
+    @property
+    def records(self) -> list:
+        """The run's remap records in order, read from the outcomes."""
+        return remap_records(self.outcomes)
 
     @property
     def total(self) -> int:
@@ -151,14 +155,13 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
     instance = workload.instance
     engine = Engine(instance, workload.initial, options.algorithm)
     generator = workload.make_generator()
-    served = []
     for _ in range(workload.length):
         request = generator.next(engine.mapping)
         if request is None:
             break
         engine.serve(request)
-        served.append(request)
 
+    records = engine.remap_records
     rows = engine.ledger.rows
     phases = [
         {
@@ -176,12 +179,13 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
     ]
     cap = (instance.n - 1) * (1 + instance.k * engine.f_obs)
     holds = all(row.cost <= cap for row in rows)
-    graver_stats = _graver_stats(engine)
+    graver_stats = _graver_stats(instance.k, records)
 
     opt_value = None
     certificates = None
     if options.compute_opt:
         initial = workload.initial or Mapping.default(instance)
+        served = [outcome.request for outcome in engine.outcomes]
         opt_value = opt_cost(instance, initial, served)
         certificates = opt_per_phase_lower_bound(
             instance, served, engine.completed_phases
@@ -197,11 +201,11 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
         instance=instance,
         workload_kind=workload.kind,
         workload_seed=workload.seed,
-        requests_served=len(served),
+        requests_served=engine.requests_served,
         communication=engine.ledger.communication,
         migration=engine.ledger.migration,
         phases=phases,
-        remap_histogram=dict(engine.affected_histogram),
+        remap_histogram=dict(Counter(len(r.affected) for r in records)),
         f_obs=engine.f_obs,
         graver_stats=graver_stats,
         bound_cap=cap,
@@ -209,20 +213,15 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
         opt=opt_value,
         phase_certificates=certificates,
         verified=verified,
-        events=list(engine.event_log),
-        records=list(engine.remap_records),
-        requests=tuple(served),
+        outcomes=engine.outcomes,
     )
 
 
-def _graver_stats(engine: Engine) -> dict:
-    k = engine.instance.k
-    pseudos = sorted(engine.pseudos_used)
+def _graver_stats(k: int, records) -> dict:
+    pseudos = sorted({r.pseudo for r in records})
     stats = {
         "pseudos_seen": len(pseudos),
-        "max_move_one_norm": max(
-            (r.distance for r in engine.remap_records), default=None
-        ),
+        "max_move_one_norm": max((r.distance for r in records), default=None),
         "max_basis_one_norm": None,
         "delta_max": None,
     }

@@ -26,11 +26,11 @@ from .configs import (
 from .engine import graver_min_move
 from .errors import InputError, ResourceLimitError
 from .graver import (
+    certify_bounds,
     compute_graver,
     graver_basis_for,
     kernel_basis,
     decompose,
-    exp_ceiling,
     max_subdeterminant,
     sign_compatible,
     sqsubseteq,
@@ -277,44 +277,38 @@ def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
         )
     )
 
-    failures = []
-    delta_tops = []
+    delta_failures, norm_failures = [], []
+    delta_tops, norm_tops = [], []
     for k in range(1, k_max + 1):
-        cap = exp_ceiling(k)
-        top = 0
+        delta_top = norm_top = 0
         for pseudo in pseudo_configurations(k):
-            delta = max_subdeterminant(config_matrix(k, pseudo))
-            top = max(top, delta)
-            if delta > cap:
-                failures.append(f"k={k} pseudo={pseudo}: delta {delta} > {cap}")
-        delta_tops.append(top)
+            basis = graver_basis_for(k, pseudo)
+            cert = certify_bounds(basis, config_matrix(k, pseudo))
+            delta_top = max(delta_top, cert.delta)
+            norm_top = max(norm_top, cert.max_inf_norm)
+            where = f"k={k} pseudo={pseudo}"
+            if not cert.delta_ok:
+                delta_failures.append(
+                    f"{where}: delta {cert.delta} > {cert.exp_ceiling}"
+                )
+            if not cert.inf_norm_ok:
+                norm_failures.append(
+                    f"{where}: inf-norm {cert.max_inf_norm} > {cert.q_delta}"
+                )
+        delta_tops.append(delta_top)
+        norm_tops.append(norm_top)
     results.append(
         CheckResult(
             "subdeterminant-cap",
-            not failures,
-            failures[0] if failures else f"max delta per k: {delta_tops}",
+            not delta_failures,
+            delta_failures[0] if delta_failures else f"max delta per k: {delta_tops}",
         )
     )
-
-    failures = []
-    norm_tops = []
-    for k in range(1, k_max + 1):
-        top = 0
-        for pseudo in pseudo_configurations(k):
-            matrix = config_matrix(k, pseudo)
-            basis = graver_basis_for(k, pseudo)
-            box = matrix.q * max_subdeterminant(matrix)
-            top = max(top, basis.max_inf_norm)
-            if basis.max_inf_norm > box:
-                failures.append(
-                    f"k={k} pseudo={pseudo}: inf-norm {basis.max_inf_norm} > {box}"
-                )
-        norm_tops.append(top)
     results.append(
         CheckResult(
             "basis-inf-norm",
-            not failures,
-            failures[0] if failures else f"max inf-norm per k: {norm_tops}",
+            not norm_failures,
+            norm_failures[0] if norm_failures else f"max inf-norm per k: {norm_tops}",
         )
     )
 

@@ -117,6 +117,53 @@ def test_simulate_events_file(golden_workload, tmp_path, capsys):
     assert json.loads(lines[1])["outcome"] == "free"
 
 
+def _event_line(phase, request, outcome, comm=0, moves=0, affected=0, g_norm=None):
+    entry = {
+        "affected": affected,
+        "comm": comm,
+        "g_norm": g_norm,
+        "moves": moves,
+        "outcome": outcome,
+        "phase": phase,
+        "request": request,
+    }
+    return json.dumps(entry, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "workload,expected",
+    [
+        (
+            # two same-cluster merges fill both clusters; joining them
+            # resets the phase and the request is remapped on singletons
+            {"k": 2, "l": 2, "requests": [[0, 1], [2, 3], [0, 2], [0, 2]]},
+            [
+                _event_line(0, [0, 1], "paid-merge-same-cluster"),
+                _event_line(0, [2, 3], "paid-merge-same-cluster"),
+                _event_line(0, [0, 2], "phase-reset", comm=1),
+                _event_line(1, [0, 2], "paid-remap", moves=2, affected=2, g_norm=3),
+                _event_line(1, [0, 2], "free"),
+            ],
+        ),
+        (
+            # at k=1 no pair fits a cluster: each reset has no reprocess line
+            {"k": 1, "l": 2, "requests": [[0, 1], [0, 1]]},
+            [
+                _event_line(0, [0, 1], "phase-reset", comm=1),
+                _event_line(1, [0, 1], "phase-reset", comm=1),
+            ],
+        ),
+    ],
+)
+def test_simulate_events_file_lines(workload, expected, tmp_path, capsys):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(workload))
+    events = tmp_path / "events.jsonl"
+    assert cli.main(["simulate", "--workload", str(path), "--events", str(events)]) == 0
+    capsys.readouterr()
+    assert events.read_text() == "".join(line + "\n" for line in expected)
+
+
 def test_simulate_unwritable_events_file_is_an_input_error(
     golden_workload, tmp_path, capsys
 ):

@@ -20,7 +20,6 @@ from repart.configs import (
     is_valid_target,
     min_affected_target,
     nd,
-    pseudo_configuration,
     pseudo_configurations,
     solve_any_target,
 )
@@ -65,17 +64,6 @@ def test_counts_from_sizes():
     assert counts_from_sizes([1, 1, 2], 2) == (2, 1)
     assert counts_from_sizes([3], 3) == (0, 0, 1)
     assert counts_from_sizes([], 2) == (0, 0)
-
-
-def test_pseudo_configuration_from_residuals():
-    # two clusters of singletons, one singleton from each merged into a pair
-    assert pseudo_configuration((1,), (1,), 2, 2) == (2, 1)
-    assert pseudo_configuration((1, 1), (1,), 3, 3) == (3, 0, 1)
-
-
-def test_pseudo_configuration_rejects_oversized_merge():
-    with pytest.raises(InputError):
-        pseudo_configuration((), (), 4, 2)
 
 
 def test_config_matrix_layout():

@@ -61,7 +61,7 @@ def test_every_remap_against_the_hosting_oracle(run):
     instance = workload.instance
     report = run_experiment(workload, ExperimentOptions(algorithm=algorithm))
     for record, before, components in replay_remaps(
-        instance, workload.initial, report.events, report.records
+        instance, workload.initial, report.outcomes
     ):
         oracle = min_affected_over_mappings(instance, components, before)
         assert oracle is not None

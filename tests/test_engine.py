@@ -115,6 +115,24 @@ def test_phase_reset_on_infeasible_packing():
     _assert_component_invariant(eng)
 
 
+def test_the_run_is_kept_once_as_the_returned_outcomes():
+    eng = Engine(Instance(3, 2))
+    assert set(vars(eng)) == {
+        "instance",
+        "algorithm",
+        "mapping",
+        "partition",
+        "census",
+        "ledger",
+        "outcomes",
+    }
+    returned = [eng.serve(Request(u, v)) for u, v in ((0, 1), (3, 4), (2, 5), (2, 5))]
+    assert eng.outcomes == returned
+    assert eng.requests_served == 4
+    assert eng.phase == len(eng.ledger.rows) - 1 == 1
+    assert eng.remap_records == [returned[2].reprocess.plan]
+
+
 def test_k1_requests_always_reset_and_abandon_the_merge():
     eng = Engine(Instance(1, 2))
     first = eng.serve(Request(0, 1))
@@ -195,9 +213,7 @@ def test_merge_participants_are_always_affected():
         eng = Engine(inst)
         for req in _random_requests(inst, 40, 2000 + seed):
             eng.serve(req)
-        for rec, before, _ in replay_remaps(
-            inst, None, eng.event_log, eng.remap_records
-        ):
+        for rec, before, _ in replay_remaps(inst, None, eng.outcomes):
             assert len(rec.affected) == (rec.distance + 1) // 2
             assert len(rec.affected) >= 2
             assert before.cluster_of(rec.request.u) in rec.affected
@@ -210,9 +226,7 @@ def test_moves_touch_only_affected_clusters_and_respect_k():
         eng = Engine(inst)
         for req in _random_requests(inst, 50, 3000 + seed):
             eng.serve(req)
-        for rec, before, _ in replay_remaps(
-            inst, None, eng.event_log, eng.remap_records
-        ):
+        for rec, before, _ in replay_remaps(inst, None, eng.outcomes):
             from_counts = dict.fromkeys(rec.affected, 0)
             for node, dest in rec.moves:
                 src = before.cluster_of(node)
@@ -253,11 +267,12 @@ def test_merges_per_phase_stay_below_node_count():
     eng = Engine(inst)
     for req in _random_requests(inst, 120, 77):
         eng.serve(req)
-    merging = {"paid-merge-same-cluster", "paid-remap"}
+    merging = {StepTag.PAID_MERGE_SAME_CLUSTER, StepTag.PAID_REMAP}
     per_phase: dict = {}
-    for entry in eng.event_log:
-        if entry["outcome"] in merging:
-            per_phase[entry["phase"]] = per_phase.get(entry["phase"], 0) + 1
+    for outcome in eng.outcomes:
+        step = outcome.reprocess or outcome
+        if step.tag in merging:
+            per_phase[step.phase] = per_phase.get(step.phase, 0) + 1
     assert per_phase
     for count in per_phase.values():
         assert count <= inst.n - 1
@@ -326,14 +341,12 @@ def _engine_state(eng):
         list(eng.census.counts),
         {cfg: list(ids) for cfg, ids in eng.census.clusters_with.items()},
         [dataclasses.astuple(row) for row in eng.ledger.rows],
-        list(eng.event_log),
-        list(eng.remap_records),
+        list(eng.outcomes),
+        eng.remap_records,
         list(eng.completed_phases),
         eng.phase_ranges(),
         eng.phase,
         eng.requests_served,
-        dict(eng.affected_histogram),
-        set(eng.pseudos_used),
         eng.f_obs,
     )
 
@@ -376,9 +389,7 @@ def test_remaps_keep_the_lowest_id_clusters_of_each_configuration():
         eng = Engine(inst)
         for req in _random_requests(inst, 60, 5000 + seed):
             eng.serve(req)
-        for rec, before, components in replay_remaps(
-            inst, None, eng.event_log, eng.remap_records
-        ):
+        for rec, before, components in replay_remaps(inst, None, eng.outcomes):
             merged = {before.cluster_of(n) for n in (rec.request.u, rec.request.v)}
             sizes = {}
             for members in components:

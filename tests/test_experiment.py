@@ -156,10 +156,10 @@ def test_graver_stats_present_for_small_k():
 def test_records_and_events_are_not_serialized():
     wl = _static(Instance(2, 2), [(0, 2)])
     report = run_experiment(wl, ExperimentOptions())
-    assert report.records and report.events
+    assert report.records and report.outcomes
     payload = report.to_dict()
     assert "records" not in payload
-    assert "events" not in payload
+    assert "outcomes" not in payload
 
 
 def test_verified_run_above_the_graver_guard():

@@ -75,6 +75,11 @@ def test_mapping_copy_is_independent():
     c.move(0, 1)
     assert m.as_list() == [0, 0, 1, 1]
     assert m != c
+    # the per-cluster node sets are copied too, not shared
+    assert m.nodes_in(0) == [0, 1]
+    assert m.nodes_in(1) == [2, 3]
+    assert c.nodes_in(0) == [1]
+    assert c.nodes_in(1) == [0, 2, 3]
 
 
 def test_mapping_nodes_in():
