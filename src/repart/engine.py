@@ -32,7 +32,9 @@ old phase's member lists. Its median serve at k = 4 takes 129 / 156 /
 the list of StepOutcomes serve returned, one per request; the request
 count, the remap records, the --events lines (event_lines) and the
 replay of remap before-states (replay_remaps) are read from it. The
-open phase, phase ranges and f_obs are read from the cost ledger's
+cost ledger is its fold: once a request is served, serve folds its
+outcome into the ledger's rows (_fold), so a serve that raises charges
+nothing; the open phase, phase ranges and f_obs are read from those
 rows. The audit after each request checks the clusters the request
 changed, the only ones that can have broken an invariant; audit()
 checks everything.
@@ -63,6 +65,7 @@ from .model import (
     CostLedger,
     Instance,
     Mapping,
+    PhaseRow,
     Request,
     component_size_census,
     validate_request,
@@ -127,27 +130,36 @@ def graver_min_move(basis, x):
     return min(cands, key=lambda g: (sum(abs(c) for c in g), revlex_key(g)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemapRecord:
-    """One remap event: planned in full before anything changes, then
-    applied and kept in the run's outcome for after-the-fact auditing.
+    """One remap event: what the planner decided, planned in full before
+    anything changes, then applied and kept in the run's outcome.
 
-    replay_remaps() rebuilds the mapping and the components the event
-    started from, so the record holds no O(n) snapshot.
+    pseudo is the tuple the cached config_matrix holds, so records of
+    one pseudo share it. replay_remaps() rebuilds the mapping and the
+    components the event started from, so the record holds no O(n)
+    snapshot.
     """
 
-    phase: int
     request: Request
     pseudo: tuple
     x: tuple
-    u: tuple
     y: tuple
-    distance: int
     affected: tuple
     moves: tuple
 
+    @property
+    def u(self) -> tuple:
+        """Component demand by size, A*x."""
+        return config_matrix(len(self.pseudo), self.pseudo).mat_vec(self.x)
 
-@dataclass(frozen=True)
+    @property
+    def distance(self) -> int:
+        """One-norm of the move x - y."""
+        return sum(abs(a - b) for a, b in zip(self.x, self.y))
+
+
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     """What serving one request did. A phase reset carries the remap
     that reprocessed its request in the new phase, if any, in
@@ -228,6 +240,7 @@ class Engine:
     def serve(self, request: Request) -> StepOutcome:
         validate_request(self.instance, request)
         outcome = self._serve_case(request)
+        self._fold(outcome)
         self.outcomes.append(outcome)
         return outcome
 
@@ -288,18 +301,16 @@ class Engine:
         sizes = partition.size_of(ru), partition.size_of(rv)
         if not merge_packable(partition.demand(k), *sizes, k):
             return self._reset_and_reprocess(request)
-        phase = self.phase
-        plan = self._build_plan(partition, self.census, request, phase)
-        self.ledger.charge_communication(1)
+        plan = self._build_plan(partition, self.census, request)
         self._apply_plan(plan)
-        return StepOutcome(StepTag.PAID_REMAP, request, phase, 1, plan)
+        return StepOutcome(StepTag.PAID_REMAP, request, self.phase, 1, plan)
 
     def _reset_and_reprocess(self, request: Request) -> StepOutcome:
         """End the phase and serve the request again on singletons.
 
         The fresh phase state is built and the request planned on it
-        before anything is committed. Communication is charged once, to
-        the phase that ended.
+        before anything is committed. The outcome carries the request's
+        one communication charge; the reprocessed remap carries none.
         """
         k = self.instance.k
         partition = ComponentPartition(self.instance.n)
@@ -307,11 +318,9 @@ class Engine:
         old_phase, new_phase = self.phase, self.phase + 1
         plan = None
         if merge_packable(partition.demand(k), 1, 1, k):
-            plan = self._build_plan(partition, census, request, new_phase)
+            plan = self._build_plan(partition, census, request)
 
-        self.ledger.charge_communication(1)
         self.partition, self.census = partition, census
-        self.ledger.begin_phase(new_phase, len(self.outcomes))
         inner = None
         if plan is not None:
             self._apply_plan(plan)
@@ -322,11 +331,9 @@ class Engine:
 
     # -- remap planning --------------------------------------------------
 
-    def _build_plan(
-        self, partition, census, request: Request, phase: int
-    ) -> RemapRecord:
+    def _build_plan(self, partition, census, request: Request) -> RemapRecord:
         """Plan the remap that merges the components of the request's
-        endpoints, as the record of the given phase.
+        endpoints.
 
         Reads the two components, the census of their clusters and the
         clusters the plan changes; changes nothing.
@@ -340,13 +347,12 @@ class Engine:
         pseudo[su - 1] -= 1
         pseudo[sv - 1] -= 1
         pseudo[su + sv - 1] += 1
-        pseudo = tuple(pseudo)
         space = config_space(k)
         x = census.vector(space.configurations)
         x[space.index_of(census.counts[ca])] -= 1
         x[space.index_of(census.counts[cb])] -= 1
         x = tuple(x) + (1,)
-        matrix = config_matrix(k, pseudo)
+        matrix = config_matrix(k, tuple(pseudo))
         demand = matrix.mat_vec(x)
 
         if self.algorithm == "comp-any":
@@ -366,13 +372,10 @@ class Engine:
                 f"{len(affected)} affected clusters, expected {(distance + 1) // 2}"
             )
         return RemapRecord(
-            phase=phase,
             request=request,
-            pseudo=pseudo,
+            pseudo=matrix.pseudo,
             x=x,
-            u=demand,
             y=y,
-            distance=distance,
             affected=tuple(affected),
             moves=tuple(moves),
         )
@@ -489,8 +492,24 @@ class Engine:
         for node, cluster in plan.moves:
             self.mapping.move(node, cluster)
         self._refresh(plan.affected)
-        self.ledger.charge_migration(len(plan.moves))
-        self.ledger.record_remap(len(plan.affected))
+
+    def _fold(self, outcome: StepOutcome) -> None:
+        """Charge a served outcome to the ledger. A reset's communication
+        stays with the phase it ends; the new phase's row opens at the
+        request's index and takes the reprocessed remap."""
+        rows = self.ledger.rows
+        rows[-1].communication += outcome.communication
+        if outcome.tag is StepTag.PHASE_RESET:
+            rows.append(PhaseRow(len(self.outcomes)))
+            outcome = outcome.reprocess
+            if outcome is None:
+                return
+        plan = outcome.plan
+        if plan is not None:
+            row = rows[-1]
+            row.migration += len(plan.moves)
+            row.remap_events += 1
+            row.max_affected = max(row.max_affected, len(plan.affected))
 
     def _refresh(self, clusters) -> None:
         """Recount the census of changed clusters and audit them.

@@ -11,7 +11,8 @@ node's root label, the member list of each component of two or more
 nodes and the number of components of each size, so reading one
 cluster or one component never scans all n nodes, and starting a phase
 builds no per-node containers. The cost ledger keeps one row per phase,
-with the request index that opened it.
+with the request index that opened it; the engine writes the rows by
+folding in each outcome it returns, and nothing else changes them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class Instance:
         return self.k * self.l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One pairwise communication request between two distinct nodes."""
 
@@ -309,7 +310,8 @@ def component_size_census(partition: ComponentPartition, mapping: Mapping) -> tu
 
 @dataclass
 class PhaseRow:
-    phase: int
+    """Costs of one phase; its phase number is its index in the ledger."""
+
     start: int = 0  # index of the request that opened the phase
     communication: int = 0
     migration: int = 0
@@ -322,36 +324,14 @@ class PhaseRow:
 
 
 class CostLedger:
-    """Exact per-phase cost accounting; totals are sums over rows."""
+    """Exact per-phase costs, one row per phase, the open phase last.
+
+    The engine folds each served outcome into the rows
+    (Engine._fold); totals are sums over rows.
+    """
 
     def __init__(self):
-        self.rows = [PhaseRow(0)]
-
-    @property
-    def current(self) -> PhaseRow:
-        return self.rows[-1]
-
-    def begin_phase(self, phase: int, start: int) -> None:
-        if phase != len(self.rows):
-            raise InvariantViolation(
-                f"phase {phase} opened out of order (have {len(self.rows)} rows)"
-            )
-        self.rows.append(PhaseRow(phase, start))
-
-    def charge_communication(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise InvariantViolation("negative communication charge")
-        self.current.communication += amount
-
-    def charge_migration(self, moved_nodes: int) -> None:
-        if moved_nodes < 0:
-            raise InvariantViolation("negative migration charge")
-        self.current.migration += moved_nodes
-
-    def record_remap(self, affected: int) -> None:
-        row = self.current
-        row.remap_events += 1
-        row.max_affected = max(row.max_affected, affected)
+        self.rows = [PhaseRow()]
 
     @property
     def communication(self) -> int:

@@ -15,12 +15,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .configs import brute_force_min_target, config_matrix
-from .engine import ALGORITHMS, Engine, graver_min_move, remap_records
+from .configs import config_matrix
+from .engine import ALGORITHMS, Engine, remap_records
 from .errors import InputError, VerificationError
 from .graver import GRAVER_K_GUARD, SUBDET_K_GUARD, graver_basis_for, max_subdeterminant
 from .model import Instance, Mapping
 from .optimum import opt_cost, opt_per_phase_lower_bound
+from .verify import check_remap
 from .workloads import Workload
 
 
@@ -165,7 +166,7 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
     rows = engine.ledger.rows
     phases = [
         {
-            "phase": row.phase,
+            "phase": phase,
             "start": start,
             "end": end,
             "communication": row.communication,
@@ -173,9 +174,9 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
             "remap_events": row.remap_events,
             "max_affected": row.max_affected,
             "cost": row.cost,
-            "completed": row.phase < len(rows) - 1,
+            "completed": phase < len(rows) - 1,
         }
-        for row, (start, end) in zip(rows, engine.phase_ranges())
+        for phase, (row, (start, end)) in enumerate(zip(rows, engine.phase_ranges()))
     ]
     cap = (instance.n - 1) * (1 + instance.k * engine.f_obs)
     holds = all(row.cost <= cap for row in rows)
@@ -241,38 +242,16 @@ def _verify_run(engine: Engine, options: ExperimentOptions, certificates) -> Non
     engine.audit()
     instance = engine.instance
     k = instance.k
+    comp_min = options.algorithm == "comp-min"
     for record in engine.remap_records:
-        matrix = config_matrix(k, record.pseudo)
-        brute_y, brute_d = brute_force_min_target(record.x, matrix, record.u)
-        if k <= GRAVER_K_GUARD:
-            basis = graver_basis_for(k, record.pseudo)
-            g = graver_min_move(basis, record.x)
-            if g is None:
-                raise VerificationError(
-                    f"no applicable basis move at x={record.x}, pseudo={record.pseudo}"
-                )
-            g_d = sum(abs(c) for c in g)
-            if g_d != brute_d:
-                raise VerificationError(
-                    f"basis-scan distance {g_d} != search distance {brute_d} "
-                    f"at x={record.x}, pseudo={record.pseudo}"
-                )
-            g_y = tuple(a - b for a, b in zip(record.x, g))
-            if options.algorithm == "comp-min" and record.y != g_y:
-                raise VerificationError(
-                    f"applied target {record.y} != basis-scan target {g_y} "
-                    f"at x={record.x}, pseudo={record.pseudo}"
-                )
-        if options.algorithm == "comp-min" and record.distance != brute_d:
-            raise VerificationError(
-                f"applied distance {record.distance} != minimal {brute_d} "
-                f"at x={record.x}, pseudo={record.pseudo}"
-            )
-    for row in engine.ledger.rows:
+        issue = check_remap(k, record.pseudo, record.x, record.y if comp_min else None)
+        if issue:
+            raise VerificationError(issue)
+    for phase, row in enumerate(engine.ledger.rows):
         cap = (instance.n - 1) * (1 + k * row.max_affected)
         if row.cost > cap:
             raise VerificationError(
-                f"phase {row.phase} cost {row.cost} exceeds cap {cap}"
+                f"phase {phase} cost {row.cost} exceeds cap {cap}"
             )
     if certificates is not None and not all(certificates):
         bad = [i for i, ok in enumerate(certificates) if not ok]

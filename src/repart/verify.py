@@ -26,6 +26,7 @@ from .configs import (
 from .engine import graver_min_move
 from .errors import InputError, ResourceLimitError
 from .graver import (
+    GRAVER_K_GUARD,
     certify_bounds,
     compute_graver,
     graver_basis_for,
@@ -210,46 +211,62 @@ class VerifySummary:
         return "\n".join(lines)
 
 
+def check_remap(k, pseudo, x, applied=None):
+    """First disagreement of a feasible remap state with the oracles, as
+    text, or None.
+
+    Every target (the deepening search's; for k <= GRAVER_K_GUARD the
+    basis scan's; applied, the planner's, unless None) must lie at the
+    search's minimal distance and have norm l, and applied must equal
+    the scan's target.
+    """
+    where = f"at x={x}, pseudo={pseudo}"
+    matrix = config_matrix(k, pseudo)
+    found = brute_force_min_target(x, matrix, matrix.mat_vec(x))
+    if found is None:
+        return f"no search target for solvable state {where}"
+    targets = {"search": found[0]}
+    if k <= GRAVER_K_GUARD:
+        g = graver_min_move(graver_basis_for(k, pseudo), x)
+        if g is None:
+            return f"no basis move for solvable state {where}"
+        scan_y = targets["basis-scan"] = tuple(a - b for a, b in zip(x, g))
+        if applied is not None and applied != scan_y:
+            return f"applied target {applied} != basis-scan target {scan_y} {where}"
+    if applied is not None:
+        targets["applied"] = applied
+    # x holds one coordinate for the merged pair, so it sums to l - 1
+    l = sum(x) + 1
+    for name, y in targets.items():
+        d = sum(abs(a - b) for a, b in zip(x, y))
+        if d != found[1]:
+            return f"{name} distance {d} != minimal {found[1]} {where}"
+        if sum(abs(c) for c in y) != l:
+            return f"{name} target norm != {l} {where}"
+    return None
+
+
 def _check_state_pair(state, k, counts):
     """Compare the engine's planner with the basis scan and the deepening
     search on one state."""
     pseudo, x, u = state
     matrix = config_matrix(k, pseudo)
     any_y = solve_any_target(matrix, u)
-    basis = graver_basis_for(k, pseudo)
-    g = graver_min_move(basis, x)
     min_y = min_affected_target(matrix, x)
     if any_y is None:
         counts["infeasible"] += 1
-        if g is not None:
+        if graver_min_move(graver_basis_for(k, pseudo), x) is not None:
             return f"basis move exists for unsolvable state x={x}, pseudo={pseudo}"
         if min_y is not None:
             return f"planner target exists for unsolvable state x={x}, pseudo={pseudo}"
         return None
     counts["feasible"] += 1
-    # x holds one coordinate for the merged pair, so it sums to l - 1
     l = sum(x) + 1
     if sum(abs(c) for c in any_y) != l:
         return f"any-target norm != {l} at x={x}, pseudo={pseudo}"
-    if g is None:
-        return f"no basis move for solvable state x={x}, pseudo={pseudo}"
-    brute_y, brute_d = brute_force_min_target(x, matrix, u)
-    if sum(abs(c) for c in brute_y) != l:
-        return f"search target norm != {l} at x={x}, pseudo={pseudo}"
-    g_d = sum(abs(c) for c in g)
-    y = tuple(a - b for a, b in zip(x, g))
-    if sum(abs(c) for c in y) != l:
-        return f"basis target norm != {l} at x={x}, pseudo={pseudo}"
-    if g_d != brute_d:
-        return (
-            f"distance mismatch {g_d} != {brute_d} at x={x}, pseudo={pseudo}"
-        )
-    if min_y != y:
-        return f"planner target {min_y} != basis target {y} at x={x}, pseudo={pseudo}"
-    min_d = sum(abs(a - b) for a, b in zip(x, min_y))
-    if min_d != brute_d:
-        return f"planner distance {min_d} != {brute_d} at x={x}, pseudo={pseudo}"
-    return None
+    if min_y is None:
+        return f"no planner target for solvable state x={x}, pseudo={pseudo}"
+    return check_remap(k, pseudo, x, min_y)
 
 
 def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:

@@ -173,7 +173,9 @@ def load_workload(path) -> Workload:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read workload file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not JSON, not UTF-8, or an integer past the digit
+        # limit; RecursionError: nested past the recursion limit
         raise InputError(f"workload file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("workload file must hold a JSON object")

@@ -1,12 +1,23 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repart.cli as cli
-from repart.errors import InvariantViolation
+from repart import configs, engine, graver, optimum, verify
+from repart.configs import solve_any_target
+from repart.errors import InvariantViolation, VerificationError
 from repart.graver import graver_basis_for
+from repart.model import Instance, Request
+from repart.report import ExperimentOptions, run_experiment
+from repart.workloads import Workload
 
 
 @pytest.fixture
@@ -243,3 +254,160 @@ def test_verification_failures_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_suite", boom)
     assert cli.main(["verify", "--k-max", "2"]) == 3
     assert "verification failure" in capsys.readouterr().err
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _is_one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"k": 2, "l": 2, "requests": [\xff]}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"k": ' + b"1" * 5000 + b', "l": 2, "requests": []}',
+    ],
+    ids=["not-utf-8", "nested-past-recursion-limit", "int-past-digit-limit"],
+)
+def test_unreadable_workload_file_is_one_error_line(payload, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    for command in ("simulate", "opt"):
+        code, out, err = _run([command, "--workload", str(path)])
+        assert code == 1
+        assert out == ""
+        assert _is_one_error_line(err)
+        assert err.startswith("error: workload file is not valid JSON: ")
+
+
+# mixed JSON values; integers stay small, so a drawn k is at most 4 and a
+# drawn l at most 6 (an Engine allocates k * l entries before any guard)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_KEYS = ("k", "l", "requests", "initial")
+_well_formed = st.integers(1, 4).flatmap(
+    lambda k: st.integers(2, 6).flatmap(
+        lambda l: st.fixed_dictionaries(
+            {
+                "k": st.just(k),
+                "l": st.just(l),
+                "requests": st.lists(
+                    st.lists(st.integers(0, k * l - 1), min_size=2, max_size=2),
+                    max_size=6,
+                ),
+            },
+            optional={"initial": st.permutations([j for j in range(l) for _ in range(k)])},
+        )
+    )
+)
+# a well-formed workload with some keys dropped, some replaced by mixed
+# values or near-miss request lists, and some extra keys
+_workload_objects = st.builds(
+    lambda base, dropped, replaced, extras: {
+        **extras,
+        **{key: value for key, value in base.items() if key not in dropped},
+        **replaced,
+    },
+    _well_formed,
+    st.sets(st.sampled_from(_KEYS), max_size=2),
+    st.dictionaries(
+        st.sampled_from(_KEYS),
+        _json_values | st.lists(st.lists(st.integers(-1, 24), max_size=3), max_size=4),
+        max_size=2,
+    ),
+    st.dictionaries(
+        st.text(max_size=5).filter(lambda key: key not in _KEYS), _json_values, max_size=2
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_workload_objects)
+def test_drawn_workload_files_map_to_documented_exit_codes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "workload.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command, allowed in (("simulate", {0, 1}), ("opt", {0, 1, 2})):
+        code, _, err = _run([command, "--workload", str(path)])
+        assert code in allowed, (command, data, err)
+        if code == 1:
+            assert _is_one_error_line(err), (command, data, err)
+
+
+def _separating_workload(k=4, l=8):
+    """Free pairs inside each of the first l/2 clusters, then one
+    request across singletons of clusters l/2 and l/2 + 1."""
+    pairs = []
+    for j in range(l // 2):
+        pairs += [(k * j, k * j + 1), (k * j + 2, k * j + 3)]
+    pairs.append((k * l // 2, k * (l // 2 + 1)))
+    return pairs
+
+
+def test_verify_fails_a_planner_that_skips_minimization(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        engine, "min_affected_target", lambda m, x: solve_any_target(m, m.mat_vec(x))
+    )
+    pairs = _separating_workload()
+    instance = Instance(4, 8)
+    workload = Workload(
+        instance, "static", len(pairs), None, tuple(Request(u, v) for u, v in pairs), None
+    )
+    with pytest.raises(VerificationError, match="!= basis-scan target"):
+        run_experiment(workload, ExperimentOptions(verify=True))
+    path = tmp_path / "separating.json"
+    path.write_text(json.dumps({"k": 4, "l": 8, "requests": pairs}))
+    code, out, err = _run(["simulate", "--workload", str(path), "--verify"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("verification failure: applied target ")
+
+
+def _limits_table():
+    """Rows of the README's Limits table, as (what, guard) cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Limits", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+    return rows[2:]
+
+
+def _guard_number(cell):
+    return int(re.search(r"\d[\d ]*", cell).group().replace(" ", ""))
+
+
+@pytest.mark.parametrize(
+    "what,value",
+    [
+        ("configuration enumeration", configs.MAX_ENUMERATION_K),
+        ("`comp-min` target search", configs.DEFAULT_SEARCH_BUDGET),
+        ("`--verify` deepening search", configs.DEFAULT_SEARCH_BUDGET),
+        ("Graver bases", graver.GRAVER_K_GUARD),
+        ("Graver completion", graver._COMPLETION_ELEMENT_CAP),
+        ("subdeterminants", graver.SUBDET_K_GUARD),
+        ("`verify --k-max`", verify.VERIFY_K_GUARD),
+        ("offline optimum", optimum.OPT_N_GUARD),
+    ],
+)
+def test_readme_limits_table_matches_the_guards(what, value):
+    rows = [guard for name, guard in _limits_table() if name.startswith(what)]
+    assert len(rows) == 1, what
+    assert _guard_number(rows[0]) == value

@@ -10,15 +10,23 @@ from repart import engine as engine_module
 from repart.engine import (
     ALGORITHMS,
     Engine,
+    RemapRecord,
     StepTag,
     feasibility_exists,
     graver_candidates,
     graver_min_move,
     replay_remaps,
 )
-from repart.errors import InputError, ResourceLimitError
+from repart.errors import InputError, InvariantViolation, ResourceLimitError
 from repart.graver import graver_basis_for
-from repart.model import ComponentPartition, Instance, Mapping, Request
+from repart.model import (
+    ComponentPartition,
+    CostLedger,
+    Instance,
+    Mapping,
+    PhaseRow,
+    Request,
+)
 from repart.report import run_experiment
 from repart.rng import SplitMix64
 from repart.workloads import generate_workload
@@ -145,6 +153,73 @@ def test_k1_requests_always_reset_and_abandon_the_merge():
     assert eng.ledger.total == 2
     assert eng.mapping.as_list() == [0, 1]
     assert eng.partition.component_count == 2
+
+
+def _rows(eng):
+    return [dataclasses.astuple(row) for row in eng.ledger.rows]
+
+
+def test_ledger_rows_are_the_fold_of_the_outcomes():
+    # (start, communication, migration, remap_events, max_affected)
+    eng = Engine(Instance(3, 2))
+    tags = [eng.serve(Request(u, v)).tag for u, v in ((0, 3), (1, 2), (4, 5), (0, 4))]
+    assert tags == [
+        StepTag.PAID_REMAP,
+        StepTag.PAID_REMAP,
+        StepTag.PHASE_RESET,
+        StepTag.PAID_MERGE_SAME_CLUSTER,
+    ]
+    # the reset's communication stays with phase 0; its reprocessed
+    # remap's two moves open phase 1 at the reset's request index
+    assert _rows(eng) == [(0, 3, 4, 2, 2), (2, 0, 2, 1, 2)]
+    assert [row.cost for row in eng.ledger.rows] == [7, 2]
+    assert (eng.ledger.communication, eng.ledger.migration, eng.ledger.total) == (3, 6, 9)
+    assert eng.ledger.communication == sum(o.communication for o in eng.outcomes)
+    assert eng.ledger.migration == sum(o.migration for o in eng.outcomes)
+
+    # k = 1: every request resets without a reprocessed remap
+    eng = Engine(Instance(1, 3))
+    eng.serve(Request(0, 1))
+    eng.serve(Request(1, 2))
+    assert _rows(eng) == [(0, 1, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
+    assert eng.ledger.total == 2
+
+
+def test_a_serve_whose_audit_fails_charges_nothing(monkeypatch):
+    eng = Engine(Instance(3, 2))
+    eng.serve(Request(0, 3))
+    before = _rows(eng)
+
+    def broken(self, clusters):
+        raise InvariantViolation("audit failed")
+
+    monkeypatch.setattr(Engine, "_refresh", broken)
+    with pytest.raises(InvariantViolation):
+        eng.serve(Request(1, 4))
+    assert _rows(eng) == before
+    assert len(eng.outcomes) == 1
+
+
+def test_records_keep_what_the_planner_decided():
+    assert [f.name for f in dataclasses.fields(RemapRecord)] == [
+        "request", "pseudo", "x", "y", "affected", "moves",
+    ]
+    assert "phase" not in {f.name for f in dataclasses.fields(PhaseRow)}
+    assert {n for n in dir(CostLedger) if not n.startswith("_")} == {
+        "communication", "migration", "total",
+    }
+    inst = Instance(4, 16)
+    report = run_experiment(generate_workload("uniform-random", inst, 200, 1))
+    records = report.records
+    assert records
+    for record in records:
+        matrix = configs.config_matrix(inst.k, record.pseudo)
+        assert record.pseudo is matrix.pseudo
+        assert record.u == matrix.mat_vec(record.x)
+        assert record.distance == sum(abs(a - b) for a, b in zip(record.x, record.y))
+    outcome = report.outcomes[0]
+    for obj in (outcome, records[0], outcome.request):
+        assert not hasattr(obj, "__dict__")
 
 
 def test_feasibility_examples():

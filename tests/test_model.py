@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repart.errors import InputError, InvariantViolation
 from repart.model import (
     ComponentPartition,
-    CostLedger,
     Instance,
     Mapping,
     Request,
@@ -328,36 +327,3 @@ def test_census_rejects_component_across_three_clusters():
     p.merge(2, 4)
     with pytest.raises(InvariantViolation):
         component_size_census(p, m)
-
-
-def test_ledger_accumulates_per_phase_rows():
-    led = CostLedger()
-    led.charge_communication()
-    led.charge_migration(2)
-    led.record_remap(2)
-    led.begin_phase(1, 4)
-    led.charge_communication()
-    assert led.communication == 2
-    assert led.migration == 2
-    assert led.total == 4
-    assert [(r.phase, r.start) for r in led.rows] == [(0, 0), (1, 4)]
-    first = led.rows[0]
-    assert first.communication == 1
-    assert first.migration == 2
-    assert first.remap_events == 1
-    assert first.max_affected == 2
-    assert first.cost == 3
-
-
-def test_ledger_rejects_out_of_order_phase():
-    led = CostLedger()
-    with pytest.raises(InvariantViolation):
-        led.begin_phase(2, 0)
-
-
-def test_ledger_rejects_negative_charges():
-    led = CostLedger()
-    with pytest.raises(InvariantViolation):
-        led.charge_communication(-1)
-    with pytest.raises(InvariantViolation):
-        led.charge_migration(-1)

@@ -5,6 +5,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repart.engine import Engine, StepTag, feasibility_exists
 from repart.errors import InputError
@@ -216,6 +218,24 @@ def test_load_workload_rejects_malformed_files(tmp_path, payload):
 def test_load_workload_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_workload(tmp_path / "absent.json")
+
+
+# raw bytes, alone or after a prefix that opens a workload object or
+# nests arrays past the recursion limit
+_raw_files = st.binary(max_size=64) | st.builds(
+    bytes.__add__,
+    st.sampled_from([b'{"k": 2, "l": 2, "requests": [', b"[" * 5000, b'{"k": 1']),
+    st.binary(max_size=32),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_files)
+def test_load_workload_raises_only_input_error_on_raw_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("raw") / "workload.json"
+    path.write_bytes(data)
+    with pytest.raises(InputError):
+        load_workload(path)
 
 
 def test_kind_list_is_stable():
