@@ -17,7 +17,11 @@ comp-min finds the target census by a direct search that lets t = 0, 1,
 ... further clusters join the two merge participants and repacks them
 (configs.min_affected_target); it picks the target the Graver-basis
 scan would, and the Graver machinery only certifies it. comp-any skips
-minimization and takes any valid target.
+minimization and takes any valid target. _realize turns the target
+census into moves one size class at a time: each affected cluster keeps
+its lowest-root components of each size that its new configuration
+holds, the merged component offered last, and the rest move, larger
+first, to the first affected cluster with room.
 
 A request is planned in full before anything changes, so a serve that
 raises leaves the engine as it was; the plan is the RemapRecord that is
@@ -43,9 +47,9 @@ checks everything.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .configs import (
     config_matrix,
@@ -179,6 +183,15 @@ class StepOutcome:
         return own + inner
 
 
+def _start_mapping(instance: Instance, initial: Mapping | None) -> Mapping:
+    """A copy of the initial mapping, or the block layout for None."""
+    if initial is None:
+        return Mapping.default(instance)
+    if initial.instance != instance:
+        raise InputError("initial mapping built for a different instance")
+    return initial.copy()
+
+
 class Engine:
     """One online run over a fixed instance; single-threaded."""
 
@@ -192,11 +205,9 @@ class Engine:
             raise InputError(
                 f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}"
             )
-        if initial is not None and initial.instance != instance:
-            raise InputError("initial mapping built for a different instance")
         self.instance = instance
         self.algorithm = algorithm
-        self.mapping = initial.copy() if initial is not None else Mapping.default(instance)
+        self.mapping = _start_mapping(instance, initial)
         self.partition = ComponentPartition(instance.n)
         self.census = ClusterCensus(instance)
         self.ledger = CostLedger()
@@ -386,104 +397,73 @@ class Engine:
         Keeps min(x_c, y_c) lowest-id clusters per configuration
         untouched, so the x_c - y_c highest-id ones of each shrinking
         configuration are affected; the two merge participants always
-        are. Each affected cluster greedily takes the remaining target
-        configuration under which it retains the largest total size of
-        whole components; everything unretained is pooled and placed
-        into leftover capacity, larger components first.
+        are. Each affected cluster, in id order, takes the first open
+        target configuration that keeps the largest total size of its
+        components, and keeps the lowest-root ones of each size. The
+        merged component is offered last among its size, in the first
+        participant and then, if not kept there, in the second. The
+        rest go, larger first, to the first affected cluster with room.
         """
-        k = self.instance.k
-        ca, cb = clusters
+        mapping = self.mapping
         ru, rv = merging
-        members_u, members_v = partition.members(ru), partition.members(rv)
+        merged_nodes = partition.members(ru) + partition.members(rv)
         merged_root = ComponentPartition.union_root(
-            ru, len(members_u), rv, len(members_v)
+            ru, partition.size_of(ru), rv, partition.size_of(rv)
         )
-        merged_nodes = tuple(members_u) + tuple(members_v)
-        n_real = len(space.configurations)
 
-        affected = [ca, cb]
-        for c in range(n_real):
-            surplus = x[c] - y[c]
-            if surplus <= 0:
-                continue
-            for j in reversed(census.clusters_with[space.configurations[c]]):
-                if surplus == 0:
-                    break
-                if j not in (ca, cb):
-                    affected.append(j)
-                    surplus -= 1
+        affected, slots = list(clusters), []
+        for c, cfg in enumerate(space.configurations):
+            if x[c] > y[c]:
+                evicted = (
+                    j for j in reversed(census.clusters_with[cfg]) if j not in clusters
+                )
+                affected.extend(islice(evicted, x[c] - y[c]))
+            else:
+                slots.extend([cfg] * (y[c] - x[c]))
         affected.sort()
-        slots = []
-        for c in range(n_real):
-            slots.extend([c] * (y[c] - min(x[c], y[c])))
         if len(slots) != len(affected):
             raise InvariantViolation(
                 f"{len(slots)} open slots for {len(affected)} affected clusters"
             )
 
-        # pool: whole components living in affected clusters, plus the
-        # merged component (a retention candidate in both participants)
-        pool = {}
-        by_cluster = {}
+        placed, room, spare = {}, {}, set()
         for j in affected:
-            roots = {partition.find(node) for node in self.mapping.nodes_in(j)}
-            by_cluster[j] = sorted(roots.difference(merging))
-            for root in by_cluster[j]:
-                members = partition.members(root)
-                pool[root] = (len(members), tuple(members))
-        pool[merged_root] = (len(merged_nodes), merged_nodes)
+            # every component here but the merged one lies whole in j
+            by_size: dict = {}
+            roots = {partition.find(node) for node in mapping.nodes_in(j)}
+            for root in sorted(roots.difference(merging)):
+                by_size.setdefault(partition.size_of(root), []).append(root)
+            if j in clusters and merged_root not in placed:
+                by_size.setdefault(len(merged_nodes), []).append(merged_root)
+            best = max(
+                range(len(slots)),
+                key=lambda at: sum(
+                    s * min(len(rs), slots[at][s - 1]) for s, rs in by_size.items()
+                ),
+            )
+            room[j] = free = list(slots.pop(best))
+            for s, rs in by_size.items():
+                keep = min(free[s - 1], len(rs))
+                free[s - 1] -= keep
+                placed.update(dict.fromkeys(rs[:keep], j))
+                spare.update((-s, root) for root in rs[keep:])
 
-        placed = {}
-        capacity = {}
-        remaining = list(slots)
-        for j in affected:
-            candidates = list(by_cluster[j])
-            if merged_root not in placed and j in (ca, cb):
-                candidates.append(merged_root)
-            resident = Counter(pool[r][0] for r in candidates)
-            best_at, best_score = 0, -1
-            for at, c in enumerate(remaining):
-                cfg = space.configurations[c]
-                score = sum(
-                    s * min(resident[s], cfg[s - 1]) for s in range(1, k + 1)
-                )
-                if score > best_score:
-                    best_at, best_score = at, score
-            chosen = remaining.pop(best_at)
-            cfg = space.configurations[chosen]
-            capacity[j] = [0] + list(cfg)  # capacity[s] for sizes 1..k
-            # retain the candidates with the most nodes already here; only
-            # the merged component can have nodes outside cluster j
-            def here(root):
-                if root != merged_root:
-                    return pool[root][0]
-                return sum(
-                    1 for nd in merged_nodes if self.mapping.cluster_of(nd) == j
-                )
-
-            for root in sorted(candidates, key=lambda r: (-here(r), r)):
-                size = pool[root][0]
-                if capacity[j][size] > 0:
-                    capacity[j][size] -= 1
-                    placed[root] = j
-
-        leftovers = [r for r in pool if r not in placed]
-        leftovers.sort(key=lambda r: (-pool[r][0], r))
-        for root in leftovers:
-            size = pool[root][0]
-            target = next((j for j in affected if capacity[j][size] > 0), None)
+        for neg_size, root in sorted(spare):
+            if root in placed:
+                continue
+            s = -neg_size
+            target = next((j for j in affected if room[j][s - 1] > 0), None)
             if target is None:
-                raise InvariantViolation(
-                    f"no capacity left for a size-{size} component"
-                )
-            capacity[target][size] -= 1
+                raise InvariantViolation(f"no capacity left for a size-{s} component")
+            room[target][s - 1] -= 1
             placed[root] = target
 
         moves = []
         for root, target in placed.items():
-            for node in pool[root][1]:
-                if self.mapping.cluster_of(node) != target:
-                    moves.append((node, target))
+            nodes = merged_nodes if root == merged_root else partition.members(root)
+            moves.extend(
+                (node, target) for node in nodes if mapping.cluster_of(node) != target
+            )
         moves.sort()
         return affected, moves
 
@@ -574,7 +554,7 @@ def replay_remaps(instance: Instance, initial: Mapping | None, outcomes):
     right after its merge as sorted member tuples in ascending root
     order).
     """
-    mapping = initial.copy() if initial is not None else Mapping.default(instance)
+    mapping = _start_mapping(instance, initial)
     partition = ComponentPartition(instance.n)
     for outcome in outcomes:
         if outcome.tag is StepTag.PHASE_RESET:

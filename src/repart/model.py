@@ -18,7 +18,6 @@ folding in each outcome it returns, and nothing else changes them.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,9 +139,6 @@ class Mapping:
         return f"Mapping({self._assign})"
 
 
-MergeOutcome = namedtuple("MergeOutcome", ["merged", "size"])
-
-
 @lru_cache(maxsize=8)
 def _identity(n: int) -> tuple:
     """0..n-1, kept so that every fresh label list of n nodes shares one
@@ -190,11 +186,12 @@ class ComponentPartition:
         """Root kept when roots ru and rv, of sizes su and sv, merge."""
         return ru if su > sv or (su == sv and ru < rv) else rv
 
-    def merge(self, u: int, v: int) -> MergeOutcome:
+    def merge(self, u: int, v: int) -> int:
+        """Join the components of u and v; returns the joined size."""
         ru, rv = self.find(u), self.find(v)
         a = self._list(ru)
         if ru == rv:
-            return MergeOutcome(False, len(a))
+            return len(a)
         b = self._list(rv)
         sa, sb = len(a), len(b)
         keep = self.union_root(ru, sa, rv, sb)
@@ -207,7 +204,7 @@ class ComponentPartition:
         self._size_counts[sa] -= 1
         self._size_counts[sb] -= 1
         self._size_counts[sa + sb] += 1
-        return MergeOutcome(True, sa + sb)
+        return sa + sb
 
     def _list(self, root: int) -> list:
         return self._members.get(root) or [root]
@@ -232,10 +229,6 @@ class ComponentPartition:
         """Component counts by size 1..k (entry s - 1 counts size s)."""
         return tuple(self._size_counts[1 : k + 1])
 
-    @property
-    def component_count(self) -> int:
-        return sum(self._size_counts)
-
     def components(self) -> dict:
         """root -> sorted member list, roots in ascending order.
 
@@ -246,20 +239,6 @@ class ComponentPartition:
         for node, root in enumerate(self._root):
             out.setdefault(root, []).append(node)
         return dict(sorted(out.items()))
-
-    def sizes(self) -> list:
-        return sorted((len(m) for m in self.member_lists().values()), reverse=True)
-
-    def canonical(self) -> frozenset:
-        return frozenset(frozenset(m) for m in self.member_lists().values())
-
-    def copy(self) -> "ComponentPartition":
-        other = ComponentPartition.__new__(ComponentPartition)
-        other.n = self.n
-        other._root = list(self._root)
-        other._members = {root: list(m) for root, m in self._members.items()}
-        other._size_counts = list(self._size_counts)
-        return other
 
 
 class ClusterCensus:

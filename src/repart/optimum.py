@@ -199,6 +199,6 @@ def opt_per_phase_lower_bound(instance: Instance, requests, phase_ranges) -> lis
                 f"phase range ({start}, {end}) outside 0..{len(requests)}"
             )
         partition = ComponentPartition(instance.n)
-        grown = any(partition.merge(r.u, r.v).size > k for r in requests[start:end])
+        grown = any(partition.merge(r.u, r.v) > k for r in requests[start:end])
         results.append(grown or not demand_packable(partition.demand(k), k))
     return results

@@ -25,6 +25,19 @@ from .verify import check_remap
 from .workloads import Workload
 
 
+PHASE_COLUMNS = (
+    "phase",
+    "start",
+    "end",
+    "communication",
+    "migration",
+    "remap_events",
+    "max_affected",
+    "cost",
+    "completed",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentOptions:
     algorithm: str = "comp-min"
@@ -122,33 +135,10 @@ class Report:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "phase",
-                "start",
-                "end",
-                "communication",
-                "migration",
-                "remap_events",
-                "max_affected",
-                "cost",
-                "completed",
-            ]
-        )
+        writer.writerow(PHASE_COLUMNS)
         for row in self.phases:
-            writer.writerow(
-                [
-                    row["phase"],
-                    row["start"],
-                    row["end"],
-                    row["communication"],
-                    row["migration"],
-                    row["remap_events"],
-                    row["max_affected"],
-                    row["cost"],
-                    str(row["completed"]).lower(),
-                ]
-            )
+            # json renders ints as digits and booleans as true/false
+            writer.writerow(json.dumps(row[column]) for column in PHASE_COLUMNS)
         return buf.getvalue()
 
 

@@ -152,7 +152,7 @@ def test_k1_requests_always_reset_and_abandon_the_merge():
     assert eng.phase == 2
     assert eng.ledger.total == 2
     assert eng.mapping.as_list() == [0, 1]
-    assert eng.partition.component_count == 2
+    assert eng.partition.demand(1) == (2,)
 
 
 def _rows(eng):
@@ -256,6 +256,15 @@ def test_engine_rejects_bad_setup():
         Engine(Instance(2, 2), algorithm="comp-best")
     with pytest.raises(InputError):
         Engine(Instance(2, 2), initial=Mapping.default(Instance(2, 3)))
+
+
+def test_replay_rejects_an_initial_mapping_of_another_instance():
+    inst = Instance(2, 3)
+    eng = Engine(inst)
+    eng.serve_all([Request(0, 2), Request(1, 4)])
+    assert eng.remap_records
+    with pytest.raises(InputError, match="different instance"):
+        list(replay_remaps(inst, Mapping.default(Instance(2, 4)), eng.outcomes))
 
 
 def test_initial_mapping_is_copied():

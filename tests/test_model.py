@@ -1,5 +1,6 @@
 """Tests for instances, mappings, component tracking, and cost accounting."""
 
+import copy
 import gc
 
 import pytest
@@ -90,17 +91,17 @@ def test_mapping_nodes_in():
 
 def test_merge_two_singletons():
     p = ComponentPartition(4)
-    out = p.merge(0, 1)
-    assert out.merged
-    assert out.size == 2
+    assert p.merge(0, 1) == 2
+    assert p.demand(2) == (2, 1)
 
 
 def test_merge_already_joined_pair():
     p = ComponentPartition(4)
     p.merge(0, 1)
-    out = p.merge(1, 0)
-    assert not out.merged
-    assert out.size == 2
+    before = {root: list(m) for root, m in p.member_lists().items()}
+    assert p.merge(1, 0) == 2
+    assert p.member_lists() == before
+    assert p.demand(2) == (2, 1)
 
 
 def test_merge_of_two_groups_reports_combined_size():
@@ -108,9 +109,8 @@ def test_merge_of_two_groups_reports_combined_size():
     p.merge(0, 1)
     p.merge(2, 3)
     p.merge(3, 4)
-    out = p.merge(1, 4)
-    assert out.merged
-    assert out.size == 5
+    assert p.merge(1, 4) == 5
+    assert p.demand(5) == (1, 0, 0, 0, 1)
 
 
 def test_union_keeps_larger_root():
@@ -125,6 +125,10 @@ def test_union_size_tie_prefers_smaller_root():
     p = ComponentPartition(4)
     p.merge(1, 0)
     assert p.find(1) == 0
+
+
+def _blocks(partition):
+    return {frozenset(m) for m in partition.member_lists().values()}
 
 
 def test_merge_order_is_irrelevant_to_final_components():
@@ -142,27 +146,27 @@ def test_merge_order_is_irrelevant_to_final_components():
             a.merge(u, v)
         for u, v in reversed(pairs):
             b.merge(u, v)
-        assert a.canonical() == b.canonical()
+        assert _blocks(a) == _blocks(b)
 
 
 def test_components_listing_sizes_and_reset():
     p = ComponentPartition(4)
     p.merge(0, 2)
     assert sorted(tuple(m) for m in p.components().values()) == [(0, 2), (1,), (3,)]
-    assert p.sizes() == [2, 1, 1]
+    assert p.demand(4) == (2, 1, 0, 0)
     assert p.size_of(2) == 2
     p.reset()
-    assert p.component_count == 4
-    assert p.sizes() == [1, 1, 1, 1]
+    assert len(p.member_lists()) == 4
+    assert p.demand(4) == (4, 0, 0, 0)
 
 
 def test_partition_copy_is_independent():
     p = ComponentPartition(4)
     p.merge(0, 1)
-    q = p.copy()
+    q = copy.deepcopy(p)
     q.merge(2, 3)
-    assert p.component_count == 3
-    assert q.component_count == 2
+    assert len(p.member_lists()) == 3
+    assert len(q.member_lists()) == 2
 
 
 class _EagerPartition:
@@ -186,7 +190,7 @@ class _EagerPartition:
         ru, rv = self.find(u), self.find(v)
         sa = len(self._members[ru])
         if ru == rv:
-            return (False, sa)
+            return sa
         sb = len(self._members[rv])
         keep = ComponentPartition.union_root(ru, sa, rv, sb)
         gone = self._members.pop(rv if keep == ru else ru)
@@ -196,7 +200,7 @@ class _EagerPartition:
         self._size_counts[sa] -= 1
         self._size_counts[sb] -= 1
         self._size_counts[sa + sb] += 1
-        return (True, sa + sb)
+        return sa + sb
 
     def size_of(self, u):
         return len(self._members[self.find(u)])
@@ -209,10 +213,6 @@ class _EagerPartition:
 
     def demand(self, k):
         return tuple(self._size_counts[1 : k + 1])
-
-    @property
-    def component_count(self):
-        return len(self._members)
 
     def components(self):
         out = {}
@@ -230,7 +230,7 @@ def _assert_same_partition(p, ref):
     for k in range(1, p.n + 1):
         assert p.demand(k) == ref.demand(k)
     assert p.components() == ref.components()
-    assert p.component_count == ref.component_count
+    assert sum(p.demand(p.n)) == len(ref.member_lists())
 
 
 @st.composite
@@ -255,7 +255,7 @@ def test_partition_matches_eager_member_lists(case):
             p.reset()
             ref.reset()
         else:
-            assert tuple(p.merge(*step)) == ref.merge(*step)
+            assert p.merge(*step) == ref.merge(*step)
         _assert_same_partition(p, ref)
 
 
@@ -280,7 +280,7 @@ def test_fresh_and_reset_partitions_allocate_no_per_node_containers():
         p.merge(u, u + 1)
     added, _ = _tracked_objects_added(p.reset)
     assert added < 16
-    assert p.component_count == 4096
+    assert p.demand(2) == (4096, 0)
 
 
 def test_census_groups_component_sizes_by_cluster():
