@@ -33,15 +33,16 @@ copies one shared label tuple, zeroes n + 1 size counts and frees the
 old phase's member lists. Its median serve at k = 4 takes 129 / 156 /
 318 us at l = 64 / 256 / 1024, against 111-121 us for a remap (Python
 3.11, one core of an Intel Xeon). Each fact is kept once. The run is
-the list of StepOutcomes serve returned, one per request; the request
-count, the remap records, the --events lines (event_lines) and the
-replay of remap before-states (replay_remaps) are read from it. The
-cost ledger is its fold: once a request is served, serve folds its
-outcome into the ledger's rows (_fold), so a serve that raises charges
-nothing; the open phase, phase ranges and f_obs are read from those
-rows. The audit after each request checks the clusters the request
-changed, the only ones that can have broken an invariant; audit()
-checks everything.
+the list of StepOutcomes serve returned, one per request, a phase reset
+included: its plan is the remap that reprocessed its request. The
+request count, the remap records, the --events lines (event_lines) and
+the replay of remap before-states on live state (replay_remaps) are
+read from it. The cost ledger is its fold: once a request is served,
+serve folds its outcome into the ledger's rows (_fold), so a serve that
+raises charges nothing; the open phase, phase ranges and f_obs are read
+from those rows. The audit after each request checks the clusters the
+request changed, the only ones that can have broken an invariant;
+audit() checks everything.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class RemapRecord:
     anything changes, then applied and kept in the run's outcome.
 
     pseudo is the tuple the cached config_matrix holds, so records of
-    one pseudo share it. replay_remaps() rebuilds the mapping and the
+    one pseudo share it. replay_remaps() walks the mapping and the
     components the event started from, so the record holds no O(n)
     snapshot.
     """
@@ -165,22 +166,19 @@ class RemapRecord:
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """What serving one request did. A phase reset carries the remap
-    that reprocessed its request in the new phase, if any, in
-    reprocess."""
+    """What serving one request did. A phase reset keeps the phase it
+    ended; its plan, if any, is the remap that reprocessed its request
+    in the next phase."""
 
     tag: StepTag
     request: Request
     phase: int
     communication: int = 0
     plan: RemapRecord | None = None
-    reprocess: "StepOutcome | None" = None
 
     @property
     def migration(self) -> int:
-        own = 0 if self.plan is None else len(self.plan.moves)
-        inner = 0 if self.reprocess is None else self.reprocess.migration
-        return own + inner
+        return 0 if self.plan is None else len(self.plan.moves)
 
 
 def _start_mapping(instance: Instance, initial: Mapping | None) -> Mapping:
@@ -321,24 +319,21 @@ class Engine:
 
         The fresh phase state is built and the request planned on it
         before anything is committed. The outcome carries the request's
-        one communication charge; the reprocessed remap carries none.
+        one communication charge and the reprocessed remap's plan.
         """
         k = self.instance.k
         partition = ComponentPartition(self.instance.n)
         census = ClusterCensus(self.instance)
-        old_phase, new_phase = self.phase, self.phase + 1
         plan = None
         if merge_packable(partition.demand(k), 1, 1, k):
             plan = self._build_plan(partition, census, request)
 
         self.partition, self.census = partition, census
-        inner = None
-        if plan is not None:
-            self._apply_plan(plan)
-            inner = StepOutcome(StepTag.PAID_REMAP, request, new_phase, 0, plan)
         # without a plan (k=1) the merge is dropped and the fresh phase
         # stays all singletons
-        return StepOutcome(StepTag.PHASE_RESET, request, old_phase, 1, reprocess=inner)
+        if plan is not None:
+            self._apply_plan(plan)
+        return StepOutcome(StepTag.PHASE_RESET, request, self.phase, 1, plan)
 
     # -- remap planning --------------------------------------------------
 
@@ -481,9 +476,6 @@ class Engine:
         rows[-1].communication += outcome.communication
         if outcome.tag is StepTag.PHASE_RESET:
             rows.append(PhaseRow(len(self.outcomes)))
-            outcome = outcome.reprocess
-            if outcome is None:
-                return
         plan = outcome.plan
         if plan is not None:
             row = rows[-1]
@@ -517,27 +509,27 @@ class Engine:
 def remap_records(outcomes) -> list:
     """The remap records of a run's outcomes in order, a reset's
     reprocessed remap included."""
-    records = []
-    for outcome in outcomes:
-        step = outcome.reprocess or outcome
-        if step.plan is not None:
-            records.append(step.plan)
-    return records
+    return [outcome.plan for outcome in outcomes if outcome.plan is not None]
 
 
 def event_lines(outcomes):
     """The event log as JSON lines: one per outcome, and after a reset
-    one more for its reprocessed remap."""
+    with a plan one more, a paid remap of the next phase with no
+    communication, for its reprocessed remap."""
     for outcome in outcomes:
-        for step in (outcome, outcome.reprocess):
-            if step is None:
-                continue
-            plan = step.plan
+        tag, phase, plan = outcome.tag, outcome.phase, outcome.plan
+        if tag is StepTag.PHASE_RESET:
+            steps = [(tag, phase, outcome.communication, None)]
+            if plan is not None:
+                steps.append((StepTag.PAID_REMAP, phase + 1, 0, plan))
+        else:
+            steps = [(tag, phase, outcome.communication, plan)]
+        for tag, phase, communication, plan in steps:
             entry = {
-                "phase": step.phase,
-                "request": [step.request.u, step.request.v],
-                "outcome": step.tag.value,
-                "comm": step.communication,
+                "phase": phase,
+                "request": [outcome.request.u, outcome.request.v],
+                "outcome": tag.value,
+                "comm": communication,
                 "moves": 0 if plan is None else len(plan.moves),
                 "affected": 0 if plan is None else len(plan.affected),
                 "g_norm": None if plan is None else plan.distance,
@@ -546,28 +538,26 @@ def event_lines(outcomes):
 
 
 def replay_remaps(instance: Instance, initial: Mapping | None, outcomes):
-    """Rebuild the state every remap event started from.
+    """Walk the run's remap events on live state.
 
     Replays the outcomes from the initial mapping (None: the block
-    layout), applying each remap's moves in turn. Yields, per remap
-    record and in order, (record, mapping before its moves, components
-    right after its merge as sorted member tuples in ascending root
-    order).
+    layout) on one mapping and one partition. Yields, per remap record
+    and in order, (record, mapping before its moves, partition right
+    after its merge). Both are the replay's own state: valid until the
+    next iteration, and not to be mutated; copy or recount what must
+    outlive it. An event costs its merge and its moves, no O(n)
+    snapshot; a phase reset costs a partition reset.
     """
     mapping = _start_mapping(instance, initial)
     partition = ComponentPartition(instance.n)
     for outcome in outcomes:
         if outcome.tag is StepTag.PHASE_RESET:
             partition.reset()
-            outcome = outcome.reprocess
-            if outcome is None:
-                continue
-        if outcome.tag is StepTag.FREE:
-            continue
+            if outcome.plan is None:
+                continue  # k = 1: the merge was dropped
         partition.merge(outcome.request.u, outcome.request.v)
         record = outcome.plan
         if record is not None:
-            components = tuple(tuple(m) for m in partition.components().values())
-            yield record, mapping.copy(), components
+            yield record, mapping, partition
             for node, cluster in record.moves:
                 mapping.move(node, cluster)

@@ -21,12 +21,14 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, ResourceLimitError
+
+MAX_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
 class Instance:
-    """k nodes per cluster, l clusters."""
+    """k nodes per cluster, l clusters, n = k * l <= MAX_NODES nodes."""
 
     k: int
     l: int
@@ -36,6 +38,10 @@ class Instance:
             raise InputError(f"nodes per cluster must be >= 1, got {self.k}")
         if self.l < 2:
             raise InputError(f"cluster count must be >= 2, got {self.l}")
+        if self.k * self.l > MAX_NODES:
+            raise ResourceLimitError(
+                f"n = k * l = {self.k * self.l} exceeds the instance guard ({MAX_NODES})"
+            )
 
     @property
     def n(self) -> int:
@@ -80,7 +86,8 @@ class Mapping:
             )
         counts = [0] * instance.l
         for node, cluster in enumerate(assign):
-            if not isinstance(cluster, int) or not 0 <= cluster < instance.l:
+            # type(), not isinstance(): a bool is an int, not a cluster id
+            if type(cluster) is not int or not 0 <= cluster < instance.l:
                 raise InputError(f"node {node} mapped to invalid cluster {cluster!r}")
             counts[cluster] += 1
         if any(c != instance.k for c in counts):

@@ -182,7 +182,8 @@ def test_criterion_07_min_remap_oracle_equality(sim_batch, capsys):
         if inst.n > 8:
             continue
         # the batch's workloads start from the block layout
-        for rec, before, components in replay_remaps(inst, None, report.outcomes):
+        for rec, before, partition in replay_remaps(inst, None, report.outcomes):
+            components = partition.components().values()
             oracle = min_affected_over_mappings(inst, components, before)
             assert oracle == len(rec.affected)
             third += 1

@@ -15,7 +15,7 @@ from repart import configs, engine, graver, optimum, verify
 from repart.configs import solve_any_target
 from repart.errors import InvariantViolation, VerificationError
 from repart.graver import graver_basis_for
-from repart.model import Instance, Request
+from repart.model import MAX_NODES, Instance, Request
 from repart.report import ExperimentOptions, run_experiment
 from repart.workloads import Workload
 
@@ -288,12 +288,24 @@ def test_unreadable_workload_file_is_one_error_line(payload, tmp_path):
         assert err.startswith("error: workload file is not valid JSON: ")
 
 
-# mixed JSON values; integers stay small, so a drawn k is at most 4 and a
-# drawn l at most 6 (an Engine allocates k * l entries before any guard)
+def test_oversized_instance_is_refused_before_it_is_built(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 1000000000, "l": 2, "requests": []}))
+    for command in ("simulate", "opt"):
+        code, out, err = _run([command, "--workload", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+# mixed JSON values; integers are either small or past the instance
+# guard, which refuses n = k * l > MAX_NODES before anything of size n is
+# built, so a drawn instance is either tiny or never allocated
 _json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-2, 4)
+    | st.integers(MAX_NODES + 1, 2**62)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
@@ -342,11 +354,13 @@ _workload_objects = st.builds(
 def test_drawn_workload_files_map_to_documented_exit_codes(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "workload.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    for command, allowed in (("simulate", {0, 1}), ("opt", {0, 1, 2})):
+    for command, allowed in (("simulate", {0, 1, 2}), ("opt", {0, 1, 2})):
         code, _, err = _run([command, "--workload", str(path)])
         assert code in allowed, (command, data, err)
         if code == 1:
             assert _is_one_error_line(err), (command, data, err)
+        if code == 2:
+            assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def _separating_workload(k=4, l=8):
@@ -405,6 +419,7 @@ def _guard_number(cell):
         ("subdeterminants", graver.SUBDET_K_GUARD),
         ("`verify --k-max`", verify.VERIFY_K_GUARD),
         ("offline optimum", optimum.OPT_N_GUARD),
+        ("instance size", MAX_NODES),
     ],
 )
 def test_readme_limits_table_matches_the_guards(what, value):

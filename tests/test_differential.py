@@ -60,9 +60,10 @@ def test_every_remap_against_the_hosting_oracle(run):
     workload, algorithm = run
     instance = workload.instance
     report = run_experiment(workload, ExperimentOptions(algorithm=algorithm))
-    for record, before, components in replay_remaps(
+    for record, before, partition in replay_remaps(
         instance, workload.initial, report.outcomes
     ):
+        components = partition.components().values()
         oracle = min_affected_over_mappings(instance, components, before)
         assert oracle is not None
         if algorithm == "comp-min":
@@ -108,7 +109,7 @@ def test_comp_min_plans_the_minimal_census_distance(state):
     engine, request = state
     outcome = engine.serve(request)
     # a merge that cannot be hosted is planned again on singletons
-    record = outcome.plan or outcome.reprocess.plan
+    record = outcome.plan
     matrix = config_matrix(engine.instance.k, record.pseudo)
     _, d = brute_force_min_target(record.x, matrix, record.u)
     y = min_affected_target(matrix, record.x)

@@ -11,6 +11,7 @@ from repart.engine import (
     ALGORITHMS,
     Engine,
     RemapRecord,
+    StepOutcome,
     StepTag,
     feasibility_exists,
     graver_candidates,
@@ -109,16 +110,16 @@ def test_phase_reset_on_infeasible_packing():
     assert out.tag is StepTag.PHASE_RESET
     assert out.phase == 0
     assert out.communication == 1
-    assert out.reprocess is not None
-    assert out.reprocess.tag is StepTag.PAID_REMAP
-    assert out.reprocess.phase == 1
+    assert out.plan is not None
     assert eng.phase == 1
+    # the reprocessed remap is phase 1's one remap
+    assert eng.ledger.rows[1].remap_events == 1
     assert eng.completed_phases == [(0, 3)]
     assert eng.phase_ranges() == [(0, 3), (2, 3)]
     # communication charged to the old phase, moves to the new one
     assert eng.ledger.rows[0].communication == 1
     assert eng.ledger.rows[0].migration == 0
-    assert eng.ledger.rows[1].migration == out.reprocess.migration
+    assert eng.ledger.rows[1].migration == out.migration
     assert eng.partition.size_of(2) == 2
     _assert_component_invariant(eng)
 
@@ -138,14 +139,14 @@ def test_the_run_is_kept_once_as_the_returned_outcomes():
     assert eng.outcomes == returned
     assert eng.requests_served == 4
     assert eng.phase == len(eng.ledger.rows) - 1 == 1
-    assert eng.remap_records == [returned[2].reprocess.plan]
+    assert eng.remap_records == [returned[2].plan]
 
 
 def test_k1_requests_always_reset_and_abandon_the_merge():
     eng = Engine(Instance(1, 2))
     first = eng.serve(Request(0, 1))
     assert first.tag is StepTag.PHASE_RESET
-    assert first.reprocess is None
+    assert first.plan is None
     second = eng.serve(Request(0, 1))
     assert second.tag is StepTag.PHASE_RESET
     assert eng.completed_phases == [(0, 1), (0, 2)]
@@ -267,6 +268,37 @@ def test_replay_rejects_an_initial_mapping_of_another_instance():
         list(replay_remaps(inst, Mapping.default(Instance(2, 4)), eng.outcomes))
 
 
+def test_replay_walks_live_state_without_whole_state_copies(monkeypatch):
+    """An outcome is flat, and replay_remaps hands out its one live
+    mapping and partition at every event instead of O(n) snapshots."""
+    assert [f.name for f in dataclasses.fields(StepOutcome)] == [
+        "tag", "request", "phase", "communication", "plan",
+    ]
+    inst = Instance(4, 256)
+    eng = Engine(inst)
+    eng.serve_all(generate_workload("uniform-random", inst, 1000, 3).requests)
+    assert any(o.tag is StepTag.PHASE_RESET for o in eng.outcomes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay made an O(n) copy or listing")
+
+    for owner, name in [
+        (Mapping, "copy"),
+        (ComponentPartition, "components"),
+        (ComponentPartition, "member_lists"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    replayed = list(replay_remaps(inst, None, eng.outcomes))
+    assert [record for record, _, _ in replayed] == eng.remap_records
+    _, mapping, partition = replayed[0]
+    assert all(m is mapping and p is partition for _, m, p in replayed)
+    # the live state ends where the engine did
+    assert mapping == eng.mapping
+    assert [partition.find(u) for u in range(inst.n)] == [
+        eng.partition.find(u) for u in range(inst.n)
+    ]
+
+
 def test_initial_mapping_is_copied():
     init = Mapping.default(Instance(2, 2))
     eng = Engine(Instance(2, 2), initial=init)
@@ -354,9 +386,10 @@ def test_merges_per_phase_stay_below_node_count():
     merging = {StepTag.PAID_MERGE_SAME_CLUSTER, StepTag.PAID_REMAP}
     per_phase: dict = {}
     for outcome in eng.outcomes:
-        step = outcome.reprocess or outcome
-        if step.tag in merging:
-            per_phase[step.phase] = per_phase.get(step.phase, 0) + 1
+        # a reset merges in the next phase when it has a plan
+        if outcome.tag in merging or outcome.plan is not None:
+            phase = outcome.phase + (outcome.tag is StepTag.PHASE_RESET)
+            per_phase[phase] = per_phase.get(phase, 0) + 1
     assert per_phase
     for count in per_phase.values():
         assert count <= inst.n - 1
@@ -473,10 +506,10 @@ def test_remaps_keep_the_lowest_id_clusters_of_each_configuration():
         eng = Engine(inst)
         for req in _random_requests(inst, 60, 5000 + seed):
             eng.serve(req)
-        for rec, before, components in replay_remaps(inst, None, eng.outcomes):
+        for rec, before, partition in replay_remaps(inst, None, eng.outcomes):
             merged = {before.cluster_of(n) for n in (rec.request.u, rec.request.v)}
             sizes = {}
-            for members in components:
+            for members in partition.components().values():
                 home = {before.cluster_of(m) for m in members}
                 if len(home) == 1:
                     sizes.setdefault(home.pop(), []).append(len(members))

@@ -6,8 +6,9 @@ JSON stdout, the CSV stdout and the event file with the digests below.
 A refactor that keeps reports byte-identical keeps this test green; a
 change that alters any report must update the digests on purpose.
 
-The matrix: every workload kind x k in {2, 3} x l in {3, 5} x both
-algorithms, 60 requests from seed 5, with `--opt` where n <= 8.
+The matrix: every workload kind x k in {1, 2, 3} x l in {3, 5} x both
+algorithms, 60 requests from seed 5, with `--opt` where n <= 8. At k = 1
+every cross-cluster request resets without a reprocessed remap.
 """
 
 import hashlib
@@ -22,10 +23,30 @@ from repart.workloads import KINDS
 LENGTH = 60
 SEED = 5
 
-CASES = list(itertools.product(KINDS, (2, 3), (3, 5), ALGORITHMS))
+CASES = list(itertools.product(KINDS, (1, 2, 3), (3, 5), ALGORITHMS))
 
 # (json stdout, csv stdout, --events file), sha256 hex, per case
 DIGESTS = {
+    ("uniform-random", 1, 3, "comp-min"): (
+        "9f4dbb49f8d57e73c7e2f34107447f5da9a475ba70d553c10245cf7d904ab729",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "80764c2eab47bbe6a91fa32cc507e8498ca4930b1b994a977d931e2ab55925bb",
+    ),
+    ("uniform-random", 1, 3, "comp-any"): (
+        "5da7b74bdec787f7bdbda6df7d88fa917d5c79e383efe41acc5a72eec5de3f9c",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "80764c2eab47bbe6a91fa32cc507e8498ca4930b1b994a977d931e2ab55925bb",
+    ),
+    ("uniform-random", 1, 5, "comp-min"): (
+        "7619d5bd56866b8fe855c879080e653857504a120b9fa5e78b36925eb855ea2a",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "3c1ebd1067877de3171785573db99d5b41f4e972a9f9fe41f4ab24f3a5dd7cbb",
+    ),
+    ("uniform-random", 1, 5, "comp-any"): (
+        "16a92ca7142f5343f6efd01ff5382e6f53a8d3138a64beaf5cbc8cb42a555931",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "3c1ebd1067877de3171785573db99d5b41f4e972a9f9fe41f4ab24f3a5dd7cbb",
+    ),
     ("uniform-random", 2, 3, "comp-min"): (
         "821b0ad26d169c9c0229f8609cf2044337b5732bed4ddb530793a346609fd30b",
         "e210c5af5e584b6bda982774a56652510e6e3971bd49ab6bd8e3b5ac1afa56d3",
@@ -66,6 +87,26 @@ DIGESTS = {
         "7cfff0bf6c62a6f084777843f5f260270a85da22012fb539d90a80ef9fde325e",
         "3a09d850efb6d0dddea06fbda88f249679eb511fc4da8cba5fc391da60d23443",
     ),
+    ("merge-chain", 1, 3, "comp-min"): (
+        "683e529e9b595bef20e8c819421929a995bc95984b95731f45b81adb05e7246c",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
+    ("merge-chain", 1, 3, "comp-any"): (
+        "cefae10e8e509eccb46187fc7905c907d0ffe0086d66f31525a6faadc0b828c6",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
+    ("merge-chain", 1, 5, "comp-min"): (
+        "19640c093dd558bf165fcc1f910cefd24faf6bacad935f30fe126578a76a1353",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
+    ("merge-chain", 1, 5, "comp-any"): (
+        "7f9b4db629da39c2deafb3e8a30fcd85553b0ecb1fbd78e7cd3e0fa643541386",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
     ("merge-chain", 2, 3, "comp-min"): (
         "d3c4d988ce2437ce5fb3f92f05d6a9b6ddd3fab7a0c0b7fcd60f6babf29744cf",
         "f88aebbb17e89025d007efdf395cb1974f77a42c4bdc5b3e742c0303ee38c0ff",
@@ -105,6 +146,26 @@ DIGESTS = {
         "39cf94a8d81e430beb2d5a01b66c1135caacb540e3299fec8c2fb82dbf5ea2c1",
         "cb5d6864280c9edfc39d290c5ec234abbe023b315af08c30deec4dbc99ec1138",
         "e805b605b5385ad30e6c7519cd9479fb106fcbf196105ae2acbd8408fff1a1c2",
+    ),
+    ("split-probe", 1, 3, "comp-min"): (
+        "452d7c00fe77009475c34c5fef3c85b1121c8ec0a2043925d533280b9e536e10",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
+    ("split-probe", 1, 3, "comp-any"): (
+        "bed67f23d5ef36fae36fcbf15ffc89cd19d39a2a598e5c87fcea3e2fa1d4da84",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
+    ("split-probe", 1, 5, "comp-min"): (
+        "3583b7e3b7cd92141fd6763208b325ce7889e3451902df046242a3736fd3da7e",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
+    ),
+    ("split-probe", 1, 5, "comp-any"): (
+        "cec9af110610ccc002d523212f56f6193f02d019ed3191b04d7f57ed782cde5e",
+        "68ba4b4a53f1bde2bda105dc77f856d71fd7d33a6d480d7121d50700544dcff0",
+        "c7555b06b21ef88f84272723fa9bdded54908ff9bdda3e6ad8748afef2538247",
     ),
     ("split-probe", 2, 3, "comp-min"): (
         "4635f10c7ae679f195c3075aa6fbfe1edce40b533926f18842d1eade75f79297",

@@ -2,8 +2,9 @@
 
 The engine keeps component member lists, cluster node sets, the size
 demand and the per-cluster census up to date instead of rebuilding them
-per request, and remap records hold no snapshot: replay_remaps rebuilds
-it. These tests recompute all of that from scratch after every request.
+per request, and remap records hold no snapshot: replay_remaps walks
+live state instead. These tests recompute all of that from scratch after
+every request.
 """
 
 import copy
@@ -80,7 +81,7 @@ def test_kept_state_and_replayed_snapshots_match_recounts(run):
         _assert_state_matches_recount(eng)
         eng.audit()
         if out.tag is StepTag.PHASE_RESET:
-            if out.reprocess is None:
+            if out.plan is None:
                 continue
             partition_before = ComponentPartition(inst.n)
         elif out.tag is not StepTag.PAID_REMAP:
@@ -88,9 +89,13 @@ def test_kept_state_and_replayed_snapshots_match_recounts(run):
         partition_before.merge(u, v)
         components = tuple(tuple(m) for m in partition_before.components().values())
         expected.append((mapping_before.as_list(), components))
-    replayed = list(replay_remaps(inst, initial, eng.outcomes))
+    # the replay hands out live state, so copy it at each step
+    replayed = [
+        (rec, m.as_list(), tuple(tuple(c) for c in p.components().values()))
+        for rec, m, p in replay_remaps(inst, initial, eng.outcomes)
+    ]
     assert [rec for rec, _, _ in replayed] == eng.remap_records
-    assert [(m.as_list(), c) for _, m, c in replayed] == expected
+    assert [(m, c) for _, m, c in replayed] == expected
 
 
 def _served_engine():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repart.errors import InputError, InvariantViolation
+from repart.errors import InputError, InvariantViolation, ResourceLimitError
 from repart.model import (
+    MAX_NODES,
     ComponentPartition,
     Instance,
     Mapping,
@@ -28,6 +29,16 @@ def test_instance_node_count():
 def test_instance_rejects_bad_shape(k, l):
     with pytest.raises(InputError):
         Instance(k, l)
+
+
+def test_instance_size_is_guarded_before_anything_of_size_n_is_built():
+    assert Instance(1, MAX_NODES).n == MAX_NODES
+    for k, l in [(10**9, 2), (1, MAX_NODES + 1), (2**19 + 1, 2)]:
+        with pytest.raises(ResourceLimitError):
+            Instance(k, l)
+    # the shape checks come first
+    with pytest.raises(InputError):
+        Instance(10**9, 1)
 
 
 def test_request_rejects_self_loop():
@@ -58,6 +69,13 @@ def test_mapping_requires_exactly_k_per_cluster():
         Mapping(inst, [0, 0, 0, 1])
     with pytest.raises(InputError):
         Mapping(inst, [0, 0, 2, 2])
+
+
+def test_mapping_rejects_bool_cluster_ids():
+    # a saved workload would write them as JSON booleans, which
+    # load_workload refuses
+    with pytest.raises(InputError, match="invalid cluster False"):
+        Mapping(Instance(2, 2), [False, False, True, True])
 
 
 def test_mapping_move_is_unchecked_until_validated():
