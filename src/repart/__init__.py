@@ -11,10 +11,8 @@ component family. Everything is computed in exact integer arithmetic.
 
 from .configs import (
     ConfigMatrix,
-    ConfigSpace,
     brute_force_min_target,
     config_matrix,
-    config_space,
     enumerate_configurations,
     pseudo_configurations,
     solve_any_target,
@@ -47,7 +45,6 @@ __all__ = [
     "ALGORITHMS",
     "ComponentPartition",
     "ConfigMatrix",
-    "ConfigSpace",
     "Engine",
     "ExperimentOptions",
     "GraverBasis",
@@ -66,7 +63,6 @@ __all__ = [
     "brute_force_min_target",
     "compute_graver",
     "config_matrix",
-    "config_space",
     "enumerate_configurations",
     "feasibility_exists",
     "generate_workload",

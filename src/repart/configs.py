@@ -12,7 +12,7 @@ exact integer vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
@@ -73,31 +73,6 @@ def pseudo_configurations(k: int) -> tuple:
     return tuple(sorted(_count_vectors(2 * k, k), key=revlex_key))
 
 
-@dataclass(frozen=True)
-class ConfigSpace:
-    k: int
-    configurations: tuple
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {c: i for i, c in enumerate(self.configurations)}
-        )
-
-    def index_of(self, counts) -> int:
-        try:
-            return self._index[tuple(counts)]
-        except KeyError:
-            raise InvariantViolation(
-                f"{tuple(counts)} is not a configuration for k={self.k}"
-            ) from None
-
-
-@lru_cache(maxsize=None)
-def config_space(k: int) -> ConfigSpace:
-    return ConfigSpace(k, enumerate_configurations(k))
-
-
 def counts_from_sizes(sizes, k: int) -> tuple:
     """Component-size multiset -> count vector of length k."""
     counts = [0] * k
@@ -127,11 +102,8 @@ class ConfigMatrix:
     def pseudo(self) -> tuple:
         return self.columns[-1]
 
-    def row(self, i: int) -> tuple:
-        return tuple(col[i] for col in self.columns)
-
     def rows(self) -> tuple:
-        return tuple(self.row(i) for i in range(self.k))
+        return tuple(zip(*self.columns))
 
     def mat_vec(self, vec) -> tuple:
         if len(vec) != self.q:
@@ -156,21 +128,20 @@ def config_matrix(k: int, pseudo) -> ConfigMatrix:
     return ConfigMatrix(k, enumerate_configurations(k) + (pseudo,))
 
 
-def build_state(censuses, pseudo, space: ConfigSpace):
+def build_state(censuses, pseudo, k: int):
     """Census of the non-participant clusters + pseudo -> (x, u).
 
     x counts clusters per configuration with the pseudo coordinate set
     to one; u = A*x is the total component demand by size.
     """
-    k = space.k
-    q = len(space.configurations) + 1
-    x = [0] * q
+    matrix = config_matrix(k, tuple(pseudo))
+    x = [0] * matrix.q
     for sizes in censuses:
         if sum(sizes) != k:
             raise InvariantViolation(f"cluster census {sizes} does not sum to k={k}")
-        x[space.index_of(counts_from_sizes(sizes, k))] += 1
+        # sizes summing to k count a real configuration, never the pseudo
+        x[matrix.columns.index(counts_from_sizes(sizes, k))] += 1
     x[-1] = 1
-    matrix = config_matrix(k, tuple(pseudo))
     return tuple(x), matrix.mat_vec(x)
 
 

@@ -54,7 +54,6 @@ from itertools import islice
 
 from .configs import (
     config_matrix,
-    config_space,
     counts_from_sizes,
     demand_packable,
     is_valid_target,
@@ -103,10 +102,7 @@ def feasibility_exists(component_sizes, instance: Instance) -> bool:
         raise InputError("component sizes must be positive")
     if max(sizes) > instance.k:
         return False
-    demand = [0] * instance.k
-    for s in sizes:
-        demand[s - 1] += 1
-    return demand_packable(tuple(demand), instance.k)
+    return demand_packable(counts_from_sizes(sizes, instance.k), instance.k)
 
 
 def graver_candidates(basis, x) -> list:
@@ -353,12 +349,11 @@ class Engine:
         pseudo[su - 1] -= 1
         pseudo[sv - 1] -= 1
         pseudo[su + sv - 1] += 1
-        space = config_space(k)
-        x = census.vector(space.configurations)
-        x[space.index_of(census.counts[ca])] -= 1
-        x[space.index_of(census.counts[cb])] -= 1
-        x = tuple(x) + (1,)
         matrix = config_matrix(k, tuple(pseudo))
+        columns = matrix.columns[:-1]
+        # clusters per configuration, the two participants left out
+        held, own = census.clusters_with, (census.counts[ca], census.counts[cb])
+        x = tuple(len(held.get(cfg, ())) - own.count(cfg) for cfg in columns) + (1,)
         demand = matrix.mat_vec(x)
 
         if self.algorithm == "comp-any":
@@ -371,7 +366,7 @@ class Engine:
             raise InvariantViolation(f"planned target {y} is not valid")
         distance = sum(abs(a - b) for a, b in zip(x, y))
         affected, moves = self._realize(
-            partition, census, (ca, cb), (ru, rv), x, y, space
+            partition, census, (ca, cb), (ru, rv), x, y, columns
         )
         if len(affected) != (distance + 1) // 2:
             raise InvariantViolation(
@@ -386,8 +381,9 @@ class Engine:
             moves=tuple(moves),
         )
 
-    def _realize(self, partition, census, clusters, merging, x, y, space):
-        """Concrete moves for target census y.
+    def _realize(self, partition, census, clusters, merging, x, y, columns):
+        """Concrete moves for target census y; columns are the real
+        configurations, in the order of x and y.
 
         Keeps min(x_c, y_c) lowest-id clusters per configuration
         untouched, so the x_c - y_c highest-id ones of each shrinking
@@ -407,7 +403,7 @@ class Engine:
         )
 
         affected, slots = list(clusters), []
-        for c, cfg in enumerate(space.configurations):
+        for c, cfg in enumerate(columns):
             if x[c] > y[c]:
                 evicted = (
                     j for j in reversed(census.clusters_with[cfg]) if j not in clusters

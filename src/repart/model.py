@@ -34,6 +34,9 @@ class Instance:
     l: int
 
     def __post_init__(self):
+        # type(), not isinstance(): a bool is an int, not a size
+        if type(self.k) is not int or type(self.l) is not int:
+            raise InputError(f"k and l must be integers, got ({self.k!r}, {self.l!r})")
         if self.k < 1:
             raise InputError(f"nodes per cluster must be >= 1, got {self.k}")
         if self.l < 2:
@@ -56,6 +59,9 @@ class Request:
     v: int
 
     def __post_init__(self):
+        # type(), not isinstance(): a bool is an int, not a node id
+        if type(self.u) is not int or type(self.v) is not int:
+            raise InputError(f"node ids must be integers, got ({self.u!r}, {self.v!r})")
         if self.u == self.v:
             raise InputError(f"request endpoints must differ, got ({self.u}, {self.v})")
         if self.u < 0 or self.v < 0:
@@ -272,10 +278,6 @@ class ClusterCensus:
             del self.clusters_with[old]
         insort(self.clusters_with.setdefault(counts, []), cluster)
         self.counts[cluster] = counts
-
-    def vector(self, configurations) -> list:
-        """Clusters per configuration, in the given configuration order."""
-        return [len(self.clusters_with.get(c, ())) for c in configurations]
 
 
 def component_size_census(partition: ComponentPartition, mapping: Mapping) -> tuple:

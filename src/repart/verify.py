@@ -17,7 +17,6 @@ from itertools import combinations_with_replacement
 from .configs import (
     brute_force_min_target,
     config_matrix,
-    config_space,
     enumerate_configurations,
     min_affected_target,
     pseudo_configurations,
@@ -155,8 +154,7 @@ def min_affected_over_mappings(instance: Instance, components, mapping: Mapping)
 
 def enumerate_remap_states(k: int, l: int) -> list:
     """Every abstract remap state (pseudo, x, u) at exactly l clusters."""
-    space = config_space(k)
-    n_real = len(space.configurations)
+    n_real = len(enumerate_configurations(k))
     states = []
     for pseudo in pseudo_configurations(k):
         matrix = config_matrix(k, pseudo)
@@ -170,8 +168,7 @@ def enumerate_remap_states(k: int, l: int) -> list:
 
 def random_remap_states(k: int, l_max: int, count: int, seed: int) -> list:
     rng = SplitMix64(seed)
-    space = config_space(k)
-    n_real = len(space.configurations)
+    n_real = len(enumerate_configurations(k))
     pseudos = pseudo_configurations(k)
     states = []
     for _ in range(count):

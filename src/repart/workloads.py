@@ -137,9 +137,10 @@ def _uniform_requests(instance: Instance, length: int, seed: int) -> tuple:
 def generate_workload(kind: str, instance: Instance, length: int, seed: int) -> Workload:
     if kind not in KINDS:
         raise InputError(f"unknown workload kind {kind!r}, expected one of {KINDS}")
-    if length < 0:
-        raise InputError(f"workload length must be nonnegative, got {length}")
-    if not isinstance(seed, int):
+    # type(), not isinstance(): a bool is an int, not a count or a seed
+    if type(length) is not int or length < 0:
+        raise InputError(f"workload length must be a nonnegative integer, got {length!r}")
+    if type(seed) is not int:
         raise InputError(f"seed must be an integer, got {type(seed).__name__}")
     if kind == "uniform-random":
         return Workload(
@@ -162,11 +163,6 @@ def generate_workload(kind: str, instance: Instance, length: int, seed: int) -> 
     )
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_workload(path) -> Workload:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -179,29 +175,21 @@ def load_workload(path) -> Workload:
         raise InputError(f"workload file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("workload file must hold a JSON object")
-    for key in ("k", "l"):
-        if not _is_int(data.get(key)):
-            raise InputError(f"workload field {key!r} must be an integer")
-    instance = Instance(data["k"], data["l"])
+    # Instance, Request and Mapping refuse a JSON true/false or a float
+    instance = Instance(data.get("k"), data.get("l"))
     raw = data.get("requests")
     if not isinstance(raw, list):
         raise InputError("workload field 'requests' must be a list of pairs")
     requests = []
     for entry in raw:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(_is_int(x) for x in entry)
-        ):
+        if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError(f"malformed request entry {entry!r}")
         r = Request(entry[0], entry[1])
         validate_request(instance, r)
         requests.append(r)
     initial = None
     if data.get("initial") is not None:
-        if not (
-            isinstance(data["initial"], list) and all(_is_int(c) for c in data["initial"])
-        ):
+        if not isinstance(data["initial"], list):
             raise InputError("workload field 'initial' must be a list of cluster ids")
         initial = Mapping(instance, data["initial"])
     return Workload(

@@ -13,7 +13,6 @@ from repart.configs import (
     brute_force_min_target,
     build_state,
     config_matrix,
-    config_space,
     counts_from_sizes,
     demand_packable,
     enumerate_configurations,
@@ -89,31 +88,27 @@ E2_U = (2, 1)
 
 
 def test_build_state_with_untouched_cluster():
-    space = config_space(2)
-    x, u = build_state([[2]], (2, 1), space)
+    x, u = build_state([[2]], (2, 1), 2)
     assert x == E1_X
     assert u == E1_U
 
 
 def test_build_state_no_untouched_clusters():
-    space = config_space(2)
-    x, u = build_state([], (2, 1), space)
+    x, u = build_state([], (2, 1), 2)
     assert x == E2_X
     assert u == E2_U
 
 
 def test_build_state_demand_totals_lk():
-    space = config_space(3)
-    x, u = build_state([[3], [1, 1, 1]], (2, 2, 0), space)
+    x, u = build_state([[3], [1, 1, 1]], (2, 2, 0), 3)
     clusters = sum(x) + 1
     assert x[-1] == 1
     assert nd(u) == clusters * 3
 
 
 def test_build_state_rejects_unknown_census():
-    space = config_space(2)
     with pytest.raises(InvariantViolation):
-        build_state([[1]], (2, 1), space)
+        build_state([[1]], (2, 1), 2)
 
 
 def test_is_valid_target_examples():

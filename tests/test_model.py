@@ -25,7 +25,11 @@ def test_instance_node_count():
     assert Instance(1, 2).n == 2
 
 
-@pytest.mark.parametrize("k,l", [(0, 2), (-1, 3), (2, 1), (2, 0)])
+# a bool would be saved as a JSON boolean, which load_workload refuses
+@pytest.mark.parametrize(
+    "k,l",
+    [(0, 2), (-1, 3), (2, 1), (2, 0), (True, 2), (2, True), (2.0, 3), (2, 3.0), ("2", 3)],
+)
 def test_instance_rejects_bad_shape(k, l):
     with pytest.raises(InputError):
         Instance(k, l)
@@ -49,6 +53,12 @@ def test_request_rejects_self_loop():
 def test_request_rejects_negative_node():
     with pytest.raises(InputError):
         Request(-1, 2)
+
+
+@pytest.mark.parametrize("u,v", [(True, 2), (0, False), (0.5, 2), (0, 2.0), ("0", 1)])
+def test_request_rejects_non_int_node_ids(u, v):
+    with pytest.raises(InputError, match="node ids must be integers"):
+        Request(u, v)
 
 
 def test_validate_request_checks_range():

@@ -50,8 +50,9 @@ def test_generate_workload_rejects_bad_arguments():
         generate_workload("zipf", inst, 10, 0)
     with pytest.raises(InputError):
         generate_workload("uniform-random", inst, -1, 0)
-    with pytest.raises(InputError):
-        generate_workload("uniform-random", inst, 10, "seed")
+    for length, seed in ((10, "seed"), (True, 0), (10.0, 0), (10, True), (10, 1.0)):
+        with pytest.raises(InputError):
+            generate_workload("uniform-random", inst, length, seed)
 
 
 def test_split_probe_always_requests_a_split_pair():
