@@ -57,8 +57,8 @@ def build_parser() -> _Parser:
     src.add_argument("--gen", choices=KINDS, help="generate the workload instead")
     p.add_argument("--k", type=int, help="cluster capacity (with --gen)")
     p.add_argument("--l", type=int, help="cluster count (with --gen)")
-    p.add_argument("--len", type=int, default=100, dest="length", help="request count (with --gen)")
-    p.add_argument("--seed", type=int, default=0, help="workload seed (with --gen)")
+    p.add_argument("--len", type=int, dest="length", help="request count (with --gen, default 100)")
+    p.add_argument("--seed", type=int, help="workload seed (with --gen, default 0)")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="comp-min")
     p.add_argument("--opt", action="store_true", help="also compute the offline optimum")
     p.add_argument("--verify", action="store_true", help="recheck the run against oracles")
@@ -134,13 +134,16 @@ def cmd_graver(args) -> int:
 
 def _simulate_workload(args):
     if args.workload is not None:
-        for name, value in (("--k", args.k), ("--l", args.l)):
+        flags = ("--k", args.k), ("--l", args.l), ("--len", args.length), ("--seed", args.seed)
+        for name, value in flags:
             if value is not None:
                 raise InputError(f"{name} only applies together with --gen")
         return load_workload(args.workload)
     if args.k is None or args.l is None:
         raise InputError("--gen needs both --k and --l")
-    return generate_workload(args.gen, Instance(args.k, args.l), args.length, args.seed)
+    length = 100 if args.length is None else args.length
+    seed = 0 if args.seed is None else args.seed
+    return generate_workload(args.gen, Instance(args.k, args.l), length, seed)
 
 
 def cmd_simulate(args) -> int:

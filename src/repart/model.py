@@ -78,8 +78,10 @@ def validate_request(instance: Instance, request: Request) -> None:
 class Mapping:
     """Assignment of nodes to clusters with exactly k nodes per cluster.
 
-    move() performs a single unchecked reassignment; callers applying a
-    batch of moves re-validate with is_valid() afterwards.
+    move() performs a single unchecked reassignment. The engine checks
+    that each cluster a batch of moves changed holds k nodes again
+    (Engine._refresh); is_valid() rechecks every cluster, and audit()
+    runs it.
     """
 
     __slots__ = ("instance", "_assign", "_nodes")

@@ -78,7 +78,8 @@ from .model import ComponentPartition, Instance, Mapping, validate_request
 OPT_N_GUARD = 9
 
 
-def _guard(instance: Instance) -> None:
+def opt_guard(instance: Instance) -> None:
+    """Refuse instances past OPT_N_GUARD, before any work is spent."""
     if instance.n > OPT_N_GUARD:
         raise ResourceLimitError(
             f"offline optimum guarded at n <= {OPT_N_GUARD}, got n={instance.n}"
@@ -161,7 +162,7 @@ def _checked_requests(instance: Instance, requests) -> list:
 
 def opt_cost(instance: Instance, initial: Mapping, requests) -> int:
     """Minimum total communication + migration over all offline plays."""
-    _guard(instance)
+    opt_guard(instance)
     requests = _checked_requests(instance, requests)
     if initial.instance != instance:
         raise InputError(

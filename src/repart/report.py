@@ -20,7 +20,7 @@ from .engine import ALGORITHMS, Engine, remap_records
 from .errors import InputError, VerificationError
 from .graver import GRAVER_K_GUARD, SUBDET_K_GUARD, graver_basis_for, max_subdeterminant
 from .model import Instance, Mapping
-from .optimum import opt_cost, opt_per_phase_lower_bound
+from .optimum import opt_cost, opt_guard, opt_per_phase_lower_bound
 from .verify import check_remap
 from .workloads import Workload
 
@@ -144,10 +144,12 @@ class Report:
 
 def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOptions()) -> Report:
     instance = workload.instance
+    if options.compute_opt:
+        opt_guard(instance)
     engine = Engine(instance, workload.initial, options.algorithm)
     generator = workload.make_generator()
     for _ in range(workload.length):
-        request = generator.next(engine.mapping)
+        request = generator.next(engine)
         if request is None:
             break
         engine.serve(request)

@@ -5,9 +5,10 @@ Static workloads are JSON files, replayable byte-identically:
     {"k": 2, "l": 2, "initial": [0, 0, 1, 1], "requests": [[0, 2], ...]}
 
 "initial" is optional and defaults to nodes 0..k-1 in cluster 0 and so
-on. Adaptive generators see only the current mapping each step, mirror
-any engine bookkeeping they need on their own, and are deterministic
-given (seed, algorithm).
+on. A generator's next(engine) returns the next request, or None to end
+the run. Adaptive generators are adversaries that know the algorithm's
+state: they read the engine they drive and never change it, so they are
+deterministic given (seed, algorithm).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .configs import merge_packable
 # then removes this import.
 from .engine import feasibility_exists  # noqa: F401
 from .errors import InputError
-from .model import ComponentPartition, Instance, Mapping, Request, validate_request
+from .model import Instance, Mapping, Request, validate_request
 from .rng import SplitMix64
 
 KINDS = ("uniform-random", "merge-chain", "split-probe")
@@ -46,26 +47,24 @@ class Workload:
     def make_generator(self):
         if self.is_static:
             return _StaticFeed(self.requests)
-        return self.generator_factory(self.instance)
+        return self.generator_factory()
 
 
 class _StaticFeed:
     def __init__(self, requests):
         self._iter = iter(requests)
 
-    def next(self, mapping):
+    def next(self, engine):
         return next(self._iter, None)
 
 
 class _SplitProbeGenerator:
     """Always requests the lexicographically first currently split pair."""
 
-    def __init__(self, instance: Instance):
-        self.instance = instance
-
-    def next(self, mapping):
+    def next(self, engine):
+        mapping = engine.mapping
         cluster0 = mapping.cluster_of(0)
-        for v in range(1, self.instance.n):
+        for v in range(1, engine.instance.n):
             if mapping.cluster_of(v) != cluster0:
                 return Request(0, v)
         return None
@@ -74,25 +73,20 @@ class _SplitProbeGenerator:
 class _MergeChainGenerator:
     """Forces merges between the largest cross-cluster components.
 
-    Keeps its own component partition in lockstep with the engine:
-    every emitted request joins two distinct components in different
-    clusters, so the engine's reaction (merge, or reset-and-reprocess
-    when the merge cannot be hosted) is fully predictable from sizes.
+    Reads the engine's component partition: every emitted request joins
+    two distinct components in different clusters, so the engine either
+    merges them or, when the merge cannot be hosted, resets the phase.
     Feasible merges are preferred, largest combined size first; once
     none is feasible the largest infeasible pair forces a phase reset.
     """
 
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.partition = ComponentPartition(instance.n)
-
-    def next(self, mapping):
-        k = self.instance.k
-        demand = self.partition.demand(k)
+    def next(self, engine):
+        k, mapping = engine.instance.k, engine.mapping
+        demand = engine.partition.demand(k)
         # (smallest member, size, cluster), so m1 < m2 in every pair below
         comps = sorted(
             (min(members), len(members), mapping.cluster_of(members[0]))
-            for members in self.partition.member_lists().values()
+            for members in engine.partition.member_lists().values()
         )
         feasible = {}  # feasibility depends on the two sizes alone
         best = None
@@ -108,17 +102,7 @@ class _MergeChainGenerator:
                 best = key
         if best is None:
             return None
-        u, v = best[2], best[3]
-        self._mirror(u, v)
-        return Request(u, v)
-
-    def _mirror(self, u: int, v: int) -> None:
-        part, k = self.partition, self.instance.k
-        if not merge_packable(part.demand(k), part.size_of(u), part.size_of(v), k):
-            part.reset()
-            if not merge_packable(part.demand(k), 1, 1, k):
-                return  # k = 1: the engine drops the reprocessed merge
-        part.merge(u, v)
+        return Request(best[2], best[3])
 
 
 def _uniform_requests(instance: Instance, length: int, seed: int) -> tuple:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through main(argv)."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -204,12 +205,21 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_simulate_workload_and_gen_flags_conflict(golden_workload, capsys):
-    argv = ["simulate", "--workload", golden_workload, "--gen", "split-probe"]
-    assert cli.main(argv) == 1
+def test_simulate_workload_and_gen_flags_conflict(golden_workload):
+    gen_only = (["--k", "2"], ["--l", "2"], ["--len", "5"], ["--seed", "9"])
+    for flags in (["--gen", "split-probe"], *gen_only):
+        code, out, err = _run(["simulate", "--workload", golden_workload, *flags])
+        assert code == 1, flags
+        assert out == ""
+        assert _is_one_error_line(err), flags
 
 
-def test_simulate_opt_guard(capsys):
+def test_simulate_opt_guard(monkeypatch, capsys):
+    serves = []
+    original = engine.Engine.serve
+    monkeypatch.setattr(
+        engine.Engine, "serve", lambda self, r: serves.append(r) or original(self, r)
+    )
     argv = [
         "simulate",
         "--gen",
@@ -224,6 +234,7 @@ def test_simulate_opt_guard(capsys):
     ]
     assert cli.main(argv) == 2
     assert "resource limit" in capsys.readouterr().err
+    assert serves == []
 
 
 def test_opt_subcommand(golden_workload, capsys):
@@ -392,10 +403,13 @@ def test_verify_fails_a_planner_that_skips_minimization(monkeypatch, tmp_path):
     assert err.startswith("verification failure: applied target ")
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _limits_table():
     """Rows of the README's Limits table, as (what, guard) cells."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("## Limits", 1)[1].split("\n## ", 1)[0]
+    section = _readme().split("## Limits", 1)[1].split("\n## ", 1)[0]
     rows = [
         [cell.strip() for cell in line.strip().strip("|").split("|")]
         for line in section.splitlines()
@@ -426,3 +440,26 @@ def test_readme_limits_table_matches_the_guards(what, value):
     rows = [guard for name, guard in _limits_table() if name.startswith(what)]
     assert len(rows) == 1, what
     assert _guard_number(rows[0]) == value
+
+
+def _test_module(name):
+    """A sibling test module, loaded by path under a private name."""
+    spec = importlib.util.spec_from_file_location(
+        f"_readme_{name}", Path(__file__).resolve().parent / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_test_counts_match_the_pinned_matrices():
+    golden = _test_module("test_golden_digest")
+    records = _test_module("test_remap_records")
+    text = " ".join(_readme().split())  # undo the line wrapping
+
+    def grouped(count):
+        return f"{count:,}".replace(",", " ")
+
+    assert f"a fixed matrix of {len(golden.CASES)} generated runs" in text
+    assert f"all {grouped(records.RECORDS)} remap records" in text
+    assert f"pins the {grouped(records.LARGE_RECORDS)} records" in text

@@ -173,7 +173,7 @@ def _serve(inst, initial, kind, length, seed):
     gen = wl.make_generator()
     served = []
     while len(served) < wl.length:
-        req = gen.next(eng.mapping)
+        req = gen.next(eng)
         if req is None:
             break
         served.append(req)

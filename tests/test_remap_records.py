@@ -35,7 +35,7 @@ def _run_records(kind, k, l, algorithm, length):
     engine = Engine(workload.instance, workload.initial, algorithm)
     generator = workload.make_generator()
     for _ in range(length):
-        request = generator.next(engine.mapping)
+        request = generator.next(engine)
         if request is None:
             break
         engine.serve(request)

@@ -2,13 +2,14 @@
 
 import json
 import random
-from itertools import combinations
+from dataclasses import astuple
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repart.engine import Engine, StepTag, feasibility_exists
+from repart.engine import ALGORITHMS, Engine, StepTag, feasibility_exists
 from repart.errors import InputError
 from repart.model import ComponentPartition, Instance, Mapping, Request
 from repart.workloads import (
@@ -61,7 +62,7 @@ def test_split_probe_always_requests_a_split_pair():
     eng = Engine(inst)
     gen = wl.make_generator()
     for _ in range(wl.length):
-        req = gen.next(eng.mapping)
+        req = gen.next(eng)
         assert req is not None
         assert req.u == 0  # lowest-id convention pins the first endpoint
         assert eng.mapping.cluster_of(req.u) != eng.mapping.cluster_of(req.v)
@@ -76,24 +77,10 @@ def test_merge_chain_resets_within_n_requests():
     eng = Engine(inst)
     gen = wl.make_generator()
     for _ in range(wl.length):
-        req = gen.next(eng.mapping)
+        req = gen.next(eng)
         assert req is not None
         eng.serve(req)
     assert eng.completed_phases
-
-
-def test_merge_chain_mirror_tracks_engine_components():
-    for k, l in ((2, 2), (2, 3), (3, 2)):
-        inst = Instance(k, l)
-        wl = generate_workload("merge-chain", inst, 20, 0)
-        eng = Engine(inst)
-        gen = wl.make_generator()
-        for _ in range(wl.length):
-            req = gen.next(eng.mapping)
-            if req is None:
-                break
-            eng.serve(req)
-            assert gen.partition.member_lists() == eng.partition.member_lists()
 
 
 class _ReferenceMergeChain:
@@ -146,15 +133,45 @@ def test_merge_chain_emits_the_reference_requests():
     # block layouts, then seeded shuffled starts like the benchmark's
     shapes = ((1, 3, None), (2, 5, None), (3, 4, None), (4, 4, None))
     shapes += ((2, 4, 1), (3, 5, 2), (4, 6, 3))
-    for k, l, seed in shapes:
+    for (k, l, seed), algorithm in product(shapes, ALGORITHMS):
         inst = Instance(k, l)
         initial = None if seed is None else _shuffled_mapping(inst, seed)
         wl = generate_workload("merge-chain", inst, 60, 0)
-        eng = Engine(inst, initial)
+        eng = Engine(inst, initial, algorithm)
         gen, ref = wl.make_generator(), _ReferenceMergeChain(inst)
         for _ in range(wl.length):
-            req = gen.next(eng.mapping)
+            req = gen.next(eng)
             assert req == ref.next(eng.mapping)
+            if req is None:
+                break
+            eng.serve(req)
+
+
+def _engine_state(eng):
+    return (
+        eng.mapping.as_list(),
+        eng.partition.components(),
+        eng.partition.member_lists(),
+        list(eng.census.counts),
+        {cfg: list(ids) for cfg, ids in eng.census.clusters_with.items()},
+        [astuple(row) for row in eng.ledger.rows],
+        len(eng.outcomes),
+    )
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_generators_only_read_the_engine(kind, algorithm):
+    for k, l, seed in ((1, 3, None), (2, 4, 1), (3, 4, None), (4, 5, 2)):
+        inst = Instance(k, l)
+        initial = None if seed is None else _shuffled_mapping(inst, seed)
+        wl = generate_workload(kind, inst, 40, 5)
+        eng = Engine(inst, initial, algorithm)
+        gen = wl.make_generator()
+        for _ in range(wl.length):
+            before = _engine_state(eng)
+            req = gen.next(eng)
+            assert _engine_state(eng) == before
             if req is None:
                 break
             eng.serve(req)
@@ -179,6 +196,11 @@ def test_workload_roundtrip_with_initial_mapping(tmp_path):
     wl = load_workload(path)
     assert wl.initial == Mapping(inst, [0, 1, 0, 1])
     assert [(r.u, r.v) for r in wl.requests] == [(0, 2), (1, 3)]
+    saved = tmp_path / "saved.json"
+    save_workload(wl, saved)
+    back = load_workload(saved)
+    assert back.initial == wl.initial
+    assert back.requests == wl.requests
 
 
 def test_save_workload_refuses_adaptive(tmp_path):
