@@ -157,7 +157,7 @@ def _pack_counts(u, columns):
     """First way to write u as a nonnegative integer combination of columns.
 
     Depth-first search that covers the largest uncovered size first and
-    tries columns in their fixed order; states known to fail are
+    tries columns in the order given; states known to fail are
     skipped. The search is iterative, and a run of picks of one column
     is one stack frame until the search backtracks into it, so a
     demand that packs without backtracking costs O(k * columns) steps
@@ -337,7 +337,8 @@ def merge_packable(demand, a: int, b: int, k: int) -> bool:
 # workloads ask about the same demand vectors over and over.
 @lru_cache(maxsize=1 << 14)
 def _packable(u: tuple, k: int) -> bool:
-    return _pack_counts(u, enumerate_configurations(k)) is not None
+    # fewest singletons first: singletons fill what is left, so it rarely backtracks
+    return _pack_counts(u, enumerate_configurations(k)[::-1]) is not None
 
 
 def brute_force_min_target(x, matrix: ConfigMatrix, u):

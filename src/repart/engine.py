@@ -105,27 +105,17 @@ def feasibility_exists(component_sizes, instance: Instance) -> bool:
     return demand_packable(counts_from_sizes(sizes, instance.k), instance.k)
 
 
-def graver_candidates(basis, x) -> list:
-    """Basis elements applicable at state x that resolve the pseudo.
-
-    The engine does not use this or graver_min_move; they are the
-    Graver-basis oracle that certifies its planner.
-    """
-    pi = len(x) - 1
-    return [
-        g
-        for g in basis
-        if g[pi] == 1 and all(gi <= xi for gi, xi in zip(g, x))
-    ]
-
-
 def graver_min_move(basis, x):
-    """Cheapest applicable basis move, or None.
+    """Cheapest applicable basis move that resolves the pseudo, or None.
 
     Minimizes the one-norm; ties go to the reverse-lexicographically
-    smallest element.
+    smallest element. The engine does not use this: it is the
+    Graver-basis oracle that certifies the planner.
     """
-    cands = graver_candidates(basis, x)
+    pi = len(x) - 1
+    cands = [
+        g for g in basis if g[pi] == 1 and all(gi <= xi for gi, xi in zip(g, x))
+    ]
     if not cands:
         return None
     return min(cands, key=lambda g: (sum(abs(c) for c in g), revlex_key(g)))

@@ -271,9 +271,6 @@ def exp_ceiling(k: int) -> int:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    k: int
-    pseudo: tuple
-    q: int
     delta: int
     exp_ceiling: int
     q_delta: int
@@ -298,9 +295,6 @@ def certify_bounds(basis: GraverBasis, matrix: ConfigMatrix) -> BoundCertificate
     inf_norm = basis.max_inf_norm
     one_norm = basis.max_one_norm
     return BoundCertificate(
-        k=matrix.k,
-        pseudo=matrix.pseudo,
-        q=matrix.q,
         delta=delta,
         exp_ceiling=cap,
         q_delta=matrix.q * delta,

@@ -266,6 +266,11 @@ def _check_state_pair(state, k, counts):
     return check_remap(k, pseudo, x, min_y)
 
 
+def _result(name, failures, detail):
+    """The verdict of one check: its first failure, or detail if none."""
+    return CheckResult(name, not failures, failures[0] if failures else detail)
+
+
 def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
     if k_max < 1:
         raise InputError(f"k-max must be at least 1, got {k_max}")
@@ -284,22 +289,18 @@ def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
         if got != want:
             failures.append(f"k={k}: {got} configurations, oracle says {want}")
     results.append(
-        CheckResult(
-            "configuration-count",
-            not failures,
-            failures[0] if failures else f"counts {seen} match the recurrence",
-        )
+        _result("configuration-count", failures, f"counts {seen} match the recurrence")
     )
 
-    delta_failures, norm_failures = [], []
-    delta_tops, norm_tops = [], []
+    delta_failures, norm_failures, delta_tops, norm_tops = [], [], [], []
     for k in range(1, k_max + 1):
-        delta_top = norm_top = 0
-        for pseudo in pseudo_configurations(k):
-            basis = graver_basis_for(k, pseudo)
-            cert = certify_bounds(basis, config_matrix(k, pseudo))
-            delta_top = max(delta_top, cert.delta)
-            norm_top = max(norm_top, cert.max_inf_norm)
+        certs = {
+            p: certify_bounds(graver_basis_for(k, p), config_matrix(k, p))
+            for p in pseudo_configurations(k)
+        }
+        delta_tops.append(max(cert.delta for cert in certs.values()))
+        norm_tops.append(max(cert.max_inf_norm for cert in certs.values()))
+        for pseudo, cert in certs.items():
             where = f"k={k} pseudo={pseudo}"
             if not cert.delta_ok:
                 delta_failures.append(
@@ -309,21 +310,11 @@ def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
                 norm_failures.append(
                     f"{where}: inf-norm {cert.max_inf_norm} > {cert.q_delta}"
                 )
-        delta_tops.append(delta_top)
-        norm_tops.append(norm_top)
     results.append(
-        CheckResult(
-            "subdeterminant-cap",
-            not delta_failures,
-            delta_failures[0] if delta_failures else f"max delta per k: {delta_tops}",
-        )
+        _result("subdeterminant-cap", delta_failures, f"max delta per k: {delta_tops}")
     )
     results.append(
-        CheckResult(
-            "basis-inf-norm",
-            not norm_failures,
-            norm_failures[0] if norm_failures else f"max inf-norm per k: {norm_tops}",
-        )
+        _result("basis-inf-norm", norm_failures, f"max inf-norm per k: {norm_tops}")
     )
 
     failures = []
@@ -338,15 +329,8 @@ def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
                 failures.append(
                     f"k={k} pseudo={pseudo}: completion and box enumeration differ"
                 )
-    results.append(
-        CheckResult(
-            "basis-exhaustive",
-            not failures,
-            failures[0]
-            if failures
-            else f"{basis_sizes} elements reproduced by box enumeration",
-        )
-    )
+    detail = f"{basis_sizes} elements reproduced by box enumeration"
+    results.append(_result("basis-exhaustive", failures, detail))
 
     failures = []
     attempts = 0
@@ -377,37 +361,24 @@ def verify_suite(k_max: int, seed: int = DEFAULT_VERIFY_SEED) -> VerifySummary:
                     )
                     break
     results.append(
-        CheckResult(
-            "decomposition",
-            not failures,
-            failures[0] if failures else f"{attempts} kernel vectors decomposed",
-        )
+        _result("decomposition", failures, f"{attempts} kernel vectors decomposed")
     )
 
     failures = []
     counts = {"feasible": 0, "infeasible": 0}
-    for k in range(1, min(k_max, EXHAUSTIVE_GRAVER_K) + 1):
-        for l in range(2, 6):
-            for state in enumerate_remap_states(k, l):
-                issue = _check_state_pair(state, k, counts)
-                if issue:
-                    failures.append(f"k={k}: {issue}")
-    for k in range(4, k_max + 1):
-        for state in random_remap_states(k, 6, 100, seed + k):
+    for k in range(1, k_max + 1):
+        if k <= EXHAUSTIVE_GRAVER_K:
+            states = [s for l in range(2, 6) for s in enumerate_remap_states(k, l)]
+        else:
+            states = random_remap_states(k, 6, 100, seed + k)
+        for state in states:
             issue = _check_state_pair(state, k, counts)
             if issue:
                 failures.append(f"k={k}: {issue}")
-    results.append(
-        CheckResult(
-            "min-remap-equality",
-            not failures,
-            failures[0]
-            if failures
-            else (
-                f"{counts['feasible']} solvable and {counts['infeasible']} "
-                "unsolvable states agree across all three planners"
-            ),
-        )
+    detail = (
+        f"{counts['feasible']} solvable and {counts['infeasible']} "
+        "unsolvable states agree across all three planners"
     )
+    results.append(_result("min-remap-equality", failures, detail))
 
     return VerifySummary(k_max, tuple(results))

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,15 @@ def _is_one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_verify_prints_the_failing_check_and_exits_3(monkeypatch):
+    monkeypatch.setattr(verify, "partition_count", lambda n: 0)
+    code, out, err = _run(["verify", "--k-max", "2"])
+    assert code == 3
+    assert "[FAIL] configuration-count: k=1: 1 configurations, oracle says 0\n" in out
+    assert out.endswith("5/6 checks passed (k <= 2)\n")
+    assert err == "verification failure: certification suite reported failures\n"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -463,3 +473,38 @@ def test_readme_test_counts_match_the_pinned_matrices():
     assert f"a fixed matrix of {len(golden.CASES)} generated runs" in text
     assert f"all {grouped(records.RECORDS)} remap records" in text
     assert f"pins the {grouped(records.LARGE_RECORDS)} records" in text
+
+
+def _readme_sessions():
+    """(command, shown output) for each `$ ...` or bare command line in
+    the README's sh blocks; the output is the lines up to the next
+    command."""
+    sessions = []
+    for block in re.findall(r"```sh\n(.*?)```", _readme(), re.S):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith(("$ ", "repart ")):
+                shown = []
+                sessions.append((line.removeprefix("$ "), shown))
+            elif shown is not None:
+                shown.append(line)
+    return sessions
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    sessions = dict(_readme_sessions())
+    (tmp_path / "golden.json").write_text("\n".join(sessions["cat golden.json"]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    compared = []
+    for command, shown in sessions.items():
+        if not command.startswith("repart "):
+            continue
+        code, out, err = _run(shlex.split(command)[1:])
+        assert (code, err) == (0, ""), command
+        if shown and "..." not in " ".join(shown):
+            assert out.splitlines() == shown, command
+            compared.append(command)
+    assert compared == [
+        "repart configs --k 2 --format csv",
+        "repart opt --workload golden.json",
+    ]

@@ -5,7 +5,7 @@ repart.verify, which was written before this module and frozen here.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repart import configs
@@ -188,6 +188,29 @@ def test_solve_any_target_finds_the_reference_search_first_solution():
         assert demand_packable(u, k) == (want is not None)
         solvable += want is not None
     assert 0 < solvable < 3000
+
+
+@st.composite
+def filled_demands(draw):
+    """(u, k): drawn counts of components of size 2..k, and singletons
+    to fill whole clusters; larger components often do not fit."""
+    k = draw(st.integers(1, 6))
+    larger = st.lists(st.integers(0, 6), min_size=k - 1, max_size=k - 1)
+    u = [draw(st.integers(0, 2))] + draw(larger)
+    u[0] += -nd(u) % k
+    return tuple(u), k
+
+
+@settings(max_examples=500, deadline=None)
+@given(filled_demands())
+@example(((0, 3, 0), 3))
+@example(((0, 0, 2, 1, 0), 5))
+@example(((1, 1, 3, 37), 4))
+def test_demand_packable_agrees_with_the_fixed_order_search(demand):
+    # demand_packable searches the configurations in reverse order
+    u, k = demand
+    want = configs._pack_counts(u, enumerate_configurations(k)) is not None
+    assert demand_packable(u, k) == want
 
 
 def test_packing_search_handles_thousands_of_clusters():

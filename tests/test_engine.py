@@ -1,6 +1,7 @@
 """Tests for the online engine: serve cases, remap plans, and phase resets."""
 
 import dataclasses
+import time
 from collections import Counter
 
 import pytest
@@ -14,7 +15,6 @@ from repart.engine import (
     StepOutcome,
     StepTag,
     feasibility_exists,
-    graver_candidates,
     graver_min_move,
     replay_remaps,
 )
@@ -237,8 +237,6 @@ def test_feasibility_rejects_wrong_total():
 def test_graver_candidate_selection():
     basis = graver_basis_for(2, (2, 1))
     x = (0, 1, 1)
-    cands = graver_candidates(basis, x)
-    assert cands == [(-1, -1, 1)]
     assert graver_min_move(basis, x) == (-1, -1, 1)
 
 
@@ -415,6 +413,38 @@ def test_large_instances_serve_cross_cluster_requests(k, l):
     report = run_experiment(workload)
     assert report.requests_served == 20
     assert report.records
+
+
+# clusters of k=5, l=1024 in id order: (count, size-count vector)
+_BACKTRACKING_LAYOUT = [
+    (366, (0, 0, 0, 0, 1)),
+    (58, (1, 0, 0, 1, 0)),
+    (366, (0, 1, 1, 0, 0)),
+    (100, (1, 2, 0, 0, 0)),
+    (71, (3, 1, 0, 0, 0)),
+    (63, (5, 0, 0, 0, 0)),
+]
+
+
+def test_merge_check_does_not_backtrack_on_a_skewed_packing():
+    # 686, 637, 366, 58 and 366 components of sizes 1..5: checking the
+    # merges below in the fixed configuration order took over 1 s each
+    eng = Engine(Instance(5, 1024))
+    first = 0
+    for count, config in _BACKTRACKING_LAYOUT:
+        for _ in range(count):
+            for size in range(5, 0, -1):
+                for _ in range(config[size - 1]):
+                    for node in range(first + 1, first + size):
+                        eng.serve(Request(first, node))
+                    first += size
+    assert eng.requests_served == 3007
+    assert all(o.tag is StepTag.PAID_MERGE_SAME_CLUSTER for o in eng.outcomes)
+    configs._packable.cache_clear()
+    start = time.perf_counter()
+    for u, v in [(5110, 5115), (5105, 5116), (5100, 5117)]:
+        assert eng.serve(Request(u, v)).tag is StepTag.PAID_REMAP
+    assert time.perf_counter() - start < 1.0
 
 
 def test_serves_and_resets_stay_off_the_whole_state_scans(monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repart import graver, verify
 from repart.configs import config_matrix
 from repart.errors import InputError, ResourceLimitError
 from repart.model import Instance, Mapping
@@ -120,3 +121,53 @@ def test_verify_suite_at_k5_renders_the_pinned_text():
     text = summary.render()
     assert "357 solvable and 17 unsolvable states" in text
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_K5_DIGEST
+
+
+def _decompose_twice(h, basis):
+    return [h, h]
+
+
+# Each row breaks one callee of the suite and names the [FAIL] line that
+# `verify_suite(2)` renders for the check it feeds.
+FAILING_CALLEES = [
+    (
+        verify, "partition_count", lambda n: 0,
+        "[FAIL] configuration-count: k=1: 1 configurations, oracle says 0",
+    ),
+    (
+        graver, "exp_ceiling", lambda k: 0,
+        "[FAIL] subdeterminant-cap: k=1 pseudo=(2,): delta 2 > 0",
+    ),
+    (
+        graver, "max_subdeterminant", lambda matrix: 0,
+        "[FAIL] basis-inf-norm: k=1 pseudo=(2,): inf-norm 2 > 0",
+    ),
+    (
+        verify, "exhaustive_graver", lambda matrix: (),
+        "[FAIL] basis-exhaustive: k=1 pseudo=(2,): completion and box "
+        "enumeration differ",
+    ),
+    (
+        verify, "decompose", _decompose_twice,
+        "[FAIL] decomposition: k=1 pseudo=(2,): terms do not sum to [6, -3]",
+    ),
+    (
+        verify, "min_affected_target", lambda matrix, x: None,
+        "[FAIL] min-remap-equality: k=1: no planner target for solvable "
+        "state x=(0, 1), pseudo=(2,)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,replacement,line",
+    FAILING_CALLEES,
+    ids=[row[3].split(":")[0][7:] for row in FAILING_CALLEES],
+)
+def test_verify_suite_renders_each_failure(module, name, replacement, line, monkeypatch):
+    monkeypatch.setattr(module, name, replacement)
+    summary = verify_suite(2)
+    assert not summary.ok
+    lines = summary.render().splitlines()
+    assert [text for text in lines if text.startswith("[FAIL]")] == [line]
+    assert lines[-1] == "5/6 checks passed (k <= 2)"
