@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
 
@@ -228,32 +229,38 @@ def solve_any_target(matrix: ConfigMatrix, u):
 def min_affected_target(matrix: ConfigMatrix, x):
     """Minimum-distance valid target for state x, or None if none exists.
 
-    For t = 0, 1, ... tries every multiset R of t real clusters taken
-    from x: the pseudo and R hold demand d = A*(R + pseudo), and when d
-    packs, y = x - R + Y - pseudo is a target at distance 2t + 3, where
-    Y is the lexicographically least packing of d. The first t with a
+    For t = 0, 1, ... draws every multiset R of t real clusters from the
+    configurations x holds, skipping any that takes more than x_c of a
+    configuration c. The pseudo and R hold demand d = A*(R + pseudo);
+    when d packs, y = x - R + Y - pseudo is a target at distance 2t + 3,
+    Y the lexicographically least packing of d. The first t with a
     candidate is the minimum; ties go to the lexicographically least y,
-    which is the target the Graver-basis scan picks. Raises
-    ResourceLimitError past DEFAULT_SEARCH_BUDGET multisets.
+    the target the Graver-basis scan picks, whatever the drawing order.
+    Raises ResourceLimitError past DEFAULT_SEARCH_BUDGET drawn multisets.
     """
     pi = matrix.pseudo_index
     x = tuple(x)
     if len(x) != matrix.q or x[pi] != 1:
         raise InputError(f"state {x} needs length q={matrix.q} and pseudo entry 1")
     support = [c for c in range(pi) if x[c]]
-    examined = 0
+    drawn = 0
     for t in range(sum(x[:pi]) + 1):
         # no t helps when the whole demand does not pack; most remaps
         # succeed at t = 0, so the check waits until that fails
         if t == 1 and not demand_packable(matrix.mat_vec(x), matrix.k):
             return None
         best = None
-        for r in _bounded_multisets(x, support, 0, t, [0] * pi + [1]):
-            examined += 1
-            if examined > DEFAULT_SEARCH_BUDGET:
+        for picks in combinations_with_replacement(support, t):
+            drawn += 1
+            if drawn > DEFAULT_SEARCH_BUDGET:
                 raise ResourceLimitError(
                     f"min-affected target search exceeded {DEFAULT_SEARCH_BUDGET} multisets"
                 )
+            r = [0] * pi + [1]
+            for c in picks:
+                r[c] += 1
+            if any(r[c] > x[c] for c in picks):
+                continue
             packing = _least_packing(matrix.mat_vec(r), matrix.k)
             if packing is None:
                 continue
@@ -263,25 +270,6 @@ def min_affected_target(matrix: ConfigMatrix, x):
         if best is not None:
             return best
     return None
-
-
-def _bounded_multisets(x, support, at, left, r):
-    """Each way to add left more clusters to r from support[at:], taking
-    at most x_c of configuration c; r is restored afterwards.
-
-    Module-level rather than a closure: a self-recursive closure is a
-    reference cycle, garbage that only the cyclic collector frees.
-    """
-    if left == 0:
-        yield tuple(r)
-        return
-    if at == len(support):
-        return
-    c = support[at]
-    for take in range(min(left, x[c]), -1, -1):
-        r[c] = take
-        yield from _bounded_multisets(x, support, at + 1, left - take, r)
-    r[c] = 0
 
 
 @lru_cache(maxsize=1 << 14)
@@ -358,10 +346,11 @@ def brute_force_min_target(x, matrix: ConfigMatrix, u):
         raise InputError("state must have pseudo coordinate exactly 1")
     if matrix.mat_vec(x) != tuple(u):
         raise InputError("state x and demand u disagree (u must equal A*x)")
-    any_y = solve_any_target(matrix, u)
-    if any_y is None:
+    # any valid target caps the depth: take _packable's order, which rarely backtracks
+    packing = _pack_counts(tuple(u), matrix.columns[pi - 1 :: -1])
+    if packing is None:
         return None
-    cap = sum(abs(a - b) for a, b in zip(x, any_y))
+    cap = sum(abs(a - b) for a, b in zip(x, packing[::-1] + (0,)))
     cols = matrix.columns
     k = matrix.k
     # suffix_max[j][i]: largest row-i entry among columns j..q-2

@@ -25,24 +25,26 @@ first, to the first affected cluster with room.
 
 A request is planned in full before anything changes, so a serve that
 raises leaves the engine as it was; the plan is the RemapRecord that is
-applied and kept. The engine keeps the component size demand, each
-cluster's size-count vector and the clusters of each configuration up
-to date, so a request reads only the two components it joins and the
-clusters it changes. A phase reset builds no container per node: it
-copies one shared label tuple, zeroes n + 1 size counts and frees the
-old phase's member lists. Its median serve at k = 4 takes 129 / 156 /
-318 us at l = 64 / 256 / 1024, against 111-121 us for a remap (Python
-3.11, one core of an Intel Xeon). Each fact is kept once. The run is
-the list of StepOutcomes serve returned, one per request, a phase reset
-included: its plan is the remap that reprocessed its request. The
-request count, the remap records, the --events lines (event_lines) and
-the replay of remap before-states on live state (replay_remaps) are
-read from it. The cost ledger is its fold: once a request is served,
-serve folds its outcome into the ledger's rows (_fold), so a serve that
-raises charges nothing; the open phase, phase ranges and f_obs are read
-from those rows. The audit after each request checks the clusters the
-request changed, the only ones that can have broken an invariant;
-audit() checks everything.
+applied and kept. The planner alone decides a cross-cluster request: no
+plan means the merged family cannot be hosted, so serve resets the
+phase, and on the fresh phase (k = 1 only) the merge is dropped. The
+engine keeps the component size demand, each cluster's size-count
+vector and the clusters of each configuration up to date, so a request
+reads only the two components it joins and the clusters it changes. A
+phase reset builds no container per node: it copies one shared label
+tuple, zeroes n + 1 size counts and frees the old phase's member lists.
+Its median serve at k = 4 takes 129 / 156 / 318 us at l = 64 / 256 /
+1024, against 111-121 us for a remap (Python 3.11, one core of an Intel
+Xeon). Each fact is kept once. The run is the list of StepOutcomes
+serve returned, one per request, a phase reset included: its plan is
+the remap that reprocessed its request. The request count, the remap
+records, the --events lines (event_lines) and the replay of remap
+before-states on live state (replay_remaps) are read from it. The cost
+ledger is its fold: once a request is served, serve folds its outcome
+into the ledger's rows (_fold), so a serve that raises charges nothing;
+the open phase, phase ranges and f_obs are read from those rows. The
+audit after each request checks the clusters the request changed, the
+only ones that can have broken an invariant; audit() checks everything.
 """
 
 from __future__ import annotations
@@ -283,20 +285,16 @@ class Engine:
     def _serve_case(self, request: Request) -> StepOutcome:
         u, v = request.u, request.v
         partition = self.partition
-        ru, rv = partition.find(u), partition.find(v)
-        if ru == rv:
+        if partition.find(u) == partition.find(v):
             return StepOutcome(StepTag.FREE, request, self.phase)
         cu = self.mapping.cluster_of(u)
         if cu == self.mapping.cluster_of(v):
             partition.merge(u, v)
             self._refresh((cu,))
             return StepOutcome(StepTag.PAID_MERGE_SAME_CLUSTER, request, self.phase)
-
-        k = self.instance.k
-        sizes = partition.size_of(ru), partition.size_of(rv)
-        if not merge_packable(partition.demand(k), *sizes, k):
-            return self._reset_and_reprocess(request)
         plan = self._build_plan(partition, self.census, request)
+        if plan is None:
+            return self._reset_and_reprocess(request)
         self._apply_plan(plan)
         return StepOutcome(StepTag.PAID_REMAP, request, self.phase, 1, plan)
 
@@ -307,25 +305,21 @@ class Engine:
         before anything is committed. The outcome carries the request's
         one communication charge and the reprocessed remap's plan.
         """
-        k = self.instance.k
         partition = ComponentPartition(self.instance.n)
         census = ClusterCensus(self.instance)
-        plan = None
-        if merge_packable(partition.demand(k), 1, 1, k):
-            plan = self._build_plan(partition, census, request)
-
+        plan = self._build_plan(partition, census, request)
         self.partition, self.census = partition, census
-        # without a plan (k=1) the merge is dropped and the fresh phase
-        # stays all singletons
+        # no plan only at k = 1: the fresh phase stays all singletons
         if plan is not None:
             self._apply_plan(plan)
         return StepOutcome(StepTag.PHASE_RESET, request, self.phase, 1, plan)
 
     # -- remap planning --------------------------------------------------
 
-    def _build_plan(self, partition, census, request: Request) -> RemapRecord:
+    def _build_plan(self, partition, census, request: Request) -> RemapRecord | None:
         """Plan the remap that merges the components of the request's
-        endpoints.
+        endpoints, which lie in different clusters; None when no valid
+        mapping can host the merged component family.
 
         Reads the two components, the census of their clusters and the
         clusters the plan changes; changes nothing.
@@ -334,6 +328,8 @@ class Engine:
         u, v = request.u, request.v
         ru, rv = partition.find(u), partition.find(v)
         su, sv = partition.size_of(ru), partition.size_of(rv)
+        if not merge_packable(partition.demand(k), su, sv, k):
+            return None
         ca, cb = sorted((self.mapping.cluster_of(u), self.mapping.cluster_of(v)))
         pseudo = [a + b for a, b in zip(census.counts[ca], census.counts[cb])]
         pseudo[su - 1] -= 1
@@ -354,22 +350,16 @@ class Engine:
             raise InvariantViolation("feasible event lost its valid target")
         if not is_valid_target(y, matrix, demand):
             raise InvariantViolation(f"planned target {y} is not valid")
-        distance = sum(abs(a - b) for a, b in zip(x, y))
         affected, moves = self._realize(
             partition, census, (ca, cb), (ru, rv), x, y, columns
         )
-        if len(affected) != (distance + 1) // 2:
+        record = RemapRecord(request, matrix.pseudo, x, y, tuple(affected), tuple(moves))
+        expected = (record.distance + 1) // 2
+        if len(affected) != expected:
             raise InvariantViolation(
-                f"{len(affected)} affected clusters, expected {(distance + 1) // 2}"
+                f"{len(affected)} affected clusters, expected {expected}"
             )
-        return RemapRecord(
-            request=request,
-            pseudo=matrix.pseudo,
-            x=x,
-            y=y,
-            affected=tuple(affected),
-            moves=tuple(moves),
-        )
+        return record
 
     def _realize(self, partition, census, clusters, merging, x, y, columns):
         """Concrete moves for target census y; columns are the real

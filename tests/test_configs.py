@@ -308,3 +308,96 @@ def test_min_affected_target_distance_matches_deepening_search(state):
         return
     assert is_valid_target(y, matrix, u)
     assert sum(abs(a - b) for a, b in zip(x, y)) == found[1]
+
+
+# The comp-min target search as first written, kept verbatim as the
+# reference for the search that replaced its multiset enumeration.
+DEFAULT_SEARCH_BUDGET = configs.DEFAULT_SEARCH_BUDGET
+_least_packing = configs._least_packing
+
+
+def _reference_min_affected_target(matrix, x):
+    """Minimum-distance valid target for state x, or None if none exists.
+
+    For t = 0, 1, ... tries every multiset R of t real clusters taken
+    from x: the pseudo and R hold demand d = A*(R + pseudo), and when d
+    packs, y = x - R + Y - pseudo is a target at distance 2t + 3, where
+    Y is the lexicographically least packing of d. The first t with a
+    candidate is the minimum; ties go to the lexicographically least y,
+    which is the target the Graver-basis scan picks. Raises
+    ResourceLimitError past DEFAULT_SEARCH_BUDGET multisets.
+    """
+    pi = matrix.pseudo_index
+    x = tuple(x)
+    if len(x) != matrix.q or x[pi] != 1:
+        raise InputError(f"state {x} needs length q={matrix.q} and pseudo entry 1")
+    support = [c for c in range(pi) if x[c]]
+    examined = 0
+    for t in range(sum(x[:pi]) + 1):
+        # no t helps when the whole demand does not pack; most remaps
+        # succeed at t = 0, so the check waits until that fails
+        if t == 1 and not demand_packable(matrix.mat_vec(x), matrix.k):
+            return None
+        best = None
+        for r in _bounded_multisets(x, support, 0, t, [0] * pi + [1]):
+            examined += 1
+            if examined > DEFAULT_SEARCH_BUDGET:
+                raise ResourceLimitError(
+                    f"min-affected target search exceeded {DEFAULT_SEARCH_BUDGET} multisets"
+                )
+            packing = _least_packing(matrix.mat_vec(r), matrix.k)
+            if packing is None:
+                continue
+            y = tuple(a - b + c for a, b, c in zip(x, r, packing)) + (0,)
+            if best is None or y < best:
+                best = y
+        if best is not None:
+            return best
+    return None
+
+
+def _bounded_multisets(x, support, at, left, r):
+    """Each way to add left more clusters to r from support[at:], taking
+    at most x_c of configuration c; r is restored afterwards.
+
+    Module-level rather than a closure: a self-recursive closure is a
+    reference cycle, garbage that only the cyclic collector frees.
+    """
+    if left == 0:
+        yield tuple(r)
+        return
+    if at == len(support):
+        return
+    c = support[at]
+    for take in range(min(left, x[c]), -1, -1):
+        r[c] = take
+        yield from _bounded_multisets(x, support, at + 1, left - take, r)
+    r[c] = 0
+
+
+@st.composite
+def skewed_remap_states(draw, k_min, k_max, l_max):
+    """(k, pseudo, x) with the 0..l_max - 2 real clusters on one to three
+    configurations, so a multiset of t clusters often wants more of a
+    configuration than x holds."""
+    k = draw(st.integers(k_min, k_max))
+    pseudo = draw(st.sampled_from(pseudo_configurations(k)))
+    n_real = len(enumerate_configurations(k))
+    used = draw(st.lists(st.integers(0, n_real - 1), min_size=1, max_size=3, unique=True))
+    l = draw(st.integers(2, l_max))
+    x = [0] * n_real + [1]
+    for c in draw(st.lists(st.sampled_from(used), min_size=l - 2, max_size=l - 2)):
+        x[c] += 1
+    return k, pseudo, tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(remap_states(1, 8, 16), skewed_remap_states(1, 8, 16)))
+# t = 2 further clusters, with some configuration held once
+@example((6, (0, 0, 0, 3, 0, 0), (0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 1)))
+@example((6, (0, 1, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 1)))
+@example((6, (0, 0, 1, 1, 1, 0), (0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1)))
+def test_min_affected_target_matches_the_reference_enumeration(state):
+    k, pseudo, x = state
+    matrix = config_matrix(k, pseudo)
+    assert min_affected_target(matrix, x) == _reference_min_affected_target(matrix, x)

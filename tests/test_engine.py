@@ -30,6 +30,7 @@ from repart.model import (
 )
 from repart.report import run_experiment
 from repart.rng import SplitMix64
+from repart.verify import check_remap
 from repart.workloads import generate_workload
 
 
@@ -444,6 +445,30 @@ def test_merge_check_does_not_backtrack_on_a_skewed_packing():
     start = time.perf_counter()
     for u, v in [(5110, 5115), (5105, 5116), (5100, 5117)]:
         assert eng.serve(Request(u, v)).tag is StepTag.PAID_REMAP
+    assert time.perf_counter() - start < 1.0
+
+
+def test_remap_check_does_not_backtrack_on_a_skewed_packing():
+    # the --verify check of the three remaps above capped its deepening
+    # search with the fixed-order packing, over 1 s per remap
+    eng = Engine(Instance(5, 1024))
+    first = 0
+    for count, config in _BACKTRACKING_LAYOUT:
+        for _ in range(count):
+            for size in range(5, 0, -1):
+                for _ in range(config[size - 1]):
+                    for node in range(first + 1, first + size):
+                        eng.serve(Request(first, node))
+                    first += size
+    for u, v in [(5110, 5115), (5105, 5116), (5100, 5117)]:
+        eng.serve(Request(u, v))
+    records = eng.remap_records
+    assert len(records) == 3
+    for record in records:
+        graver_basis_for(5, record.pseudo)
+    start = time.perf_counter()
+    for record in records:
+        assert check_remap(5, record.pseudo, record.x, record.y) is None
     assert time.perf_counter() - start < 1.0
 
 
