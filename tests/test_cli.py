@@ -1,17 +1,18 @@
 """End-to-end CLI tests driven through main(argv)."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parity
 import repart.cli as cli
 from repart import configs, engine, graver, optimum, verify
 from repart.configs import solve_any_target
@@ -19,7 +20,7 @@ from repart.errors import InvariantViolation, VerificationError
 from repart.graver import graver_basis_for
 from repart.model import MAX_NODES, Instance, Request
 from repart.report import ExperimentOptions, run_experiment
-from repart.workloads import Workload
+from repart.workloads import Workload, generate_workload
 
 
 @pytest.fixture
@@ -67,16 +68,19 @@ def test_graver_rejects_bad_pseudo(capsys):
     assert cli.main(["graver", "--k", "2", "--pseudo", "2,0"]) == 1
 
 
-def test_simulate_golden_is_byte_identical(golden_workload, capsys):
-    assert cli.main(["simulate", "--workload", golden_workload, "--opt"]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(["simulate", "--workload", golden_workload, "--opt"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    payload = json.loads(first)
-    assert payload["totals"] == {"communication": 1, "migration": 2, "total": 3}
-    assert payload["opt"]["cost"] == 2
-    assert payload["opt"]["ratio"] == "3/2"
+def test_simulate_prints_the_report_and_writes_its_event_lines(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    argv = ["simulate", "--gen", "merge-chain", "--k", "2", "--l", "3"]
+    argv += ["--len", "60", "--seed", "5", "--opt"]
+    assert cli.main(argv + ["--events", str(events)]) == 0
+    json_out = capsys.readouterr()
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    csv_out = capsys.readouterr()
+    workload = generate_workload("merge-chain", Instance(2, 3), 60, 5)
+    report = run_experiment(workload, ExperimentOptions(compute_opt=True))
+    assert (json_out.out, json_out.err) == (report.to_json(), "")
+    assert (csv_out.out, csv_out.err) == (report.to_csv(), "")
+    assert events.read_text(encoding="utf-8") == "".join(engine.event_lines(report.outcomes))
 
 
 def test_simulate_csv_format(golden_workload, capsys):
@@ -452,27 +456,15 @@ def test_readme_limits_table_matches_the_guards(what, value):
     assert _guard_number(rows[0]) == value
 
 
-def _test_module(name):
-    """A sibling test module, loaded by path under a private name."""
-    spec = importlib.util.spec_from_file_location(
-        f"_readme_{name}", Path(__file__).resolve().parent / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_readme_test_counts_match_the_pinned_matrices():
-    golden = _test_module("test_golden_digest")
-    records = _test_module("test_remap_records")
+    cases = parity.cases()
+    blocks = Counter(case.block for case in cases)
     text = " ".join(_readme().split())  # undo the line wrapping
-
-    def grouped(count):
-        return f"{count:,}".replace(",", " ")
-
-    assert f"a fixed matrix of {len(golden.CASES)} generated runs" in text
-    assert f"all {grouped(records.RECORDS)} remap records" in text
-    assert f"pins the {grouped(records.LARGE_RECORDS)} records" in text
+    assert f"{len(cases)} cases in six blocks" in text
+    assert f"the matrix of {blocks.pop('matrix')} runs" in text
+    for block, count in blocks.items():
+        assert f"`{block}/…`, {count} " in text
+    assert f"check the {sum(case.tier1 for case in cases)} cases marked tier1" in text
 
 
 def _readme_sessions():

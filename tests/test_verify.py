@@ -1,9 +1,8 @@
 """Tests for the independent cross-checking oracles and the suite runner."""
 
-import hashlib
-
 import pytest
 
+import parity
 from repart import graver, verify
 from repart.configs import config_matrix
 from repart.errors import InputError, ResourceLimitError
@@ -108,19 +107,15 @@ def test_verify_suite_argument_guards():
         verify_suite(6)
 
 
-# sha256 of verify_suite(5).render() at the default seed, the output of
-# `repart verify --k-max 5`: "6/6 checks passed (k <= 5)", with 357
-# solvable and 17 unsolvable states and 13000 kernel vectors decomposed
-SUITE_K5_DIGEST = "4543ccc4ff754ea33de8fccaae34cc9ed29b85aa87e3baf4e793c20edf539ff2"
-
-
 def test_verify_suite_at_k5_renders_the_pinned_text():
-    # k >= 4 is where min-remap-equality draws random states
+    # the output of `repart verify --k-max 5`, pinned as the parity
+    # manifest's verify-suite/k5; k >= 4 is where min-remap-equality
+    # draws random states
     summary = verify_suite(5)
     assert summary.ok
     text = summary.render()
     assert "357 solvable and 17 unsolvable states" in text
-    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_K5_DIGEST
+    assert parity.sha256([text]) == parity.read_manifest()["verify-suite/k5"]
 
 
 def _decompose_twice(h, basis):
