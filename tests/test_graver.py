@@ -2,6 +2,7 @@
 
 import pytest
 
+import parity
 from repart.configs import config_matrix, pseudo_configurations
 from repart.errors import InputError, InvariantViolation, ResourceLimitError
 from repart.graver import (
@@ -183,3 +184,9 @@ def test_certify_bounds_all_pseudos_through_k4():
             matrix = config_matrix(k, pseudo)
             cert = certify_bounds(compute_graver(matrix), matrix)
             assert cert.ok, (k, pseudo)
+
+
+def test_graver_payloads_match_the_parity_manifest():
+    # `repart graver` on every pseudo configuration at k <= 5: each basis,
+    # its norms and its bound certificate
+    assert parity.mismatches(parity.tier1("graver"), parity.read_manifest()) == []

@@ -16,7 +16,7 @@ and exits 1 if there is any. A change that keeps every output
 byte-identical passes unedited; only a change that alters an output on
 purpose rewrites the manifest, and says so.
 
-The six blocks:
+The seven blocks:
   * the matrix: every workload kind x k 1-5 x l {2, 3, 5, 16, 64} x
     both algorithms x a block and a seeded-shuffle initial mapping, 120
     requests from seed 11, with the optimum where n <= 8 and --verify
@@ -33,22 +33,28 @@ The six blocks:
     Graver bases; merge-chain walks every component pair per step);
   * `wide-comp-any/l8|l32|l128`: one comp-any remap that affects all
     but one cluster;
-  * `verify-suite/k4|k5`: `verify_suite(k).render()`.
+  * `verify-suite/k4|k5`: `verify_suite(k).render()`;
+  * `graver/k<k>/<pseudo>`: what `repart graver --k K --pseudo P` prints
+    (the basis, its norms and its bound certificate), for every pseudo
+    configuration at k 1-5.
 
 The full check takes about 17 s on one core of an Intel Xeon (Python
 3.11). The tier-1 tests check the cases marked tier1, the matrix runs
 with n <= 16 and every other case but `verify-suite/k4`, one block per
 test: the matrix in tests/test_parity.py, `golden/...` in
 tests/test_golden_digest.py, `records/...`, `wide-comp-any/...` and
-`records-large/...` in tests/test_remap_records.py and
-`verify-suite/k5` in tests/test_verify.py.
+`records-large/...` in tests/test_remap_records.py,
+`verify-suite/k5` in tests/test_verify.py and `graver/...` in
+tests/test_graver.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import sys
 from functools import partial
@@ -58,18 +64,22 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repart.cli import main as cli_main  # noqa: E402
+from repart.configs import pseudo_configurations  # noqa: E402
 from repart.engine import ALGORITHMS, Engine, event_lines, remap_records  # noqa: E402
 from repart.errors import RepartError  # noqa: E402
 from repart.model import Instance, Mapping, Request  # noqa: E402
 from repart.report import ExperimentOptions, run_experiment  # noqa: E402
 from repart.rng import SplitMix64  # noqa: E402
 from repart.verify import verify_suite  # noqa: E402
-from repart.workloads import KINDS, generate_workload  # noqa: E402
+from repart.workloads import generate_workload  # noqa: E402
 
 MANIFEST = ROOT / "tools" / "parity_manifest.txt"
 LENGTH = 120
 SEED = 11
 STARTS = ("block", "shuffle")
+# the workload kinds the blocks pin, named here so a new kind adds no case
+KINDS = ("uniform-random", "merge-chain", "split-probe")
 
 
 class Case(NamedTuple):
@@ -149,6 +159,14 @@ def _wide_comp_any_lines(l):
     return _record_lines([_wide_comp_any_record(l)])
 
 
+def _graver_payload(k, pseudo):
+    """What `repart graver --k K --pseudo P` prints, P = pseudo."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["graver", "--k", str(k), "--pseudo", pseudo])
+    return [out.getvalue()]
+
+
 def _runs(block, chunks, specs, tier1_n=None) -> list:
     """One case per (kind, k, l, algorithm, *rest) spec, its id prefixed
     by the block's name but in the matrix; tier1 where n <= tier1_n, or
@@ -189,6 +207,11 @@ def cases() -> list:
         for l in (8, 32, 128)
     ]
     out.append(Case("verify-suite/k5", "verify-suite", True, lambda: [verify_suite(5).render()]))
+    out += [
+        Case(f"graver/k{k}/{p}", "graver", True, partial(_graver_payload, k, p))
+        for k in range(1, 6)
+        for p in (",".join(map(str, pseudo)) for pseudo in pseudo_configurations(k))
+    ]
     return out
 
 
