@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .graver import GraverBasis, compute_graver, graver_basis_for
+from .graver import compute_graver, graver_basis_for
 from .model import ComponentPartition, Instance, Mapping, Request
 from .optimum import opt_cost, opt_per_phase_lower_bound
 from .report import ExperimentOptions, Report, run_experiment
@@ -47,7 +47,6 @@ __all__ = [
     "ConfigMatrix",
     "Engine",
     "ExperimentOptions",
-    "GraverBasis",
     "InputError",
     "Instance",
     "InvariantViolation",

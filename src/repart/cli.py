@@ -21,7 +21,7 @@ from .errors import (
     VerificationError,
 )
 from .graver import SUBDET_K_GUARD, certify_bounds, exp_ceiling, graver_basis_for
-from .model import Instance, Mapping
+from .model import Instance
 from .optimum import opt_cost
 from .report import ExperimentOptions, run_experiment
 from .verify import DEFAULT_VERIFY_SEED, verify_suite
@@ -116,10 +116,10 @@ def cmd_graver(args) -> int:
         "pseudo": list(pseudo),
         "q": matrix.q,
         "matrix": [list(row) for row in matrix.rows()],
-        "basis": [list(g) for g in basis.elements],
+        "basis": [list(g) for g in basis],
         "size": len(basis),
-        "max_one_norm": basis.max_one_norm,
-        "max_inf_norm": basis.max_inf_norm,
+        "max_one_norm": max(sum(map(abs, g)) for g in basis),
+        "max_inf_norm": max(max(map(abs, g)) for g in basis),
         "exp_ceiling": exp_ceiling(args.k),
         "delta": None,
         "bounds_ok": None,
@@ -165,8 +165,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_opt(args) -> int:
     workload = load_workload(args.workload)
-    initial = workload.initial or Mapping.default(workload.instance)
-    cost = opt_cost(workload.instance, initial, workload.requests)
+    cost = opt_cost(workload.instance, workload.initial, workload.requests)
     print(json.dumps({"opt_cost": cost}, sort_keys=True))
     return 0
 

@@ -9,15 +9,18 @@ scan of the basis for the cheapest applicable move
 bounds that make that scan sound (max |subdeterminant| and the
 infinity-norm cap).
 
-Computation is by completion: seed with an integer kernel lattice basis
-and its negations, close under pairwise sums reduced to normal form by
-sign-compatible subtraction, then keep the sign-order-minimal elements.
+Computation is by completion. The element list starts as an integer
+kernel lattice basis and its negations. A walk over the list by index
+adds the j-th element to each element 0..j and reduces the sum: it
+subtracts the first element conforming to the remainder until none
+conforms. A nonzero remainder and its negation join the end of the
+list, so the walk reaches them too; it stops at the end of the list.
+The basis is the sorted tuple of the sign-order-minimal elements.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,121 +98,76 @@ def kernel_basis(matrix: ConfigMatrix) -> tuple:
     return tuple(sorted(basis))
 
 
-def _normal_form(s, elements):
-    # subtract the first conforming element until none applies
-    changed = True
-    while changed and any(s):
-        changed = False
+def _reduce(s, elements):
+    """Subtract the first element conforming to s until none conforms;
+    return the remainder and the subtracted elements in order."""
+    terms = []
+    while any(s):
         for g in elements:
             if sqsubseteq(g, s):
                 s = tuple(a - b for a, b in zip(s, g))
-                changed = True
+                terms.append(g)
                 break
-    return s
+        else:
+            break
+    return s, terms
 
 
-@dataclass(frozen=True)
-class GraverBasis:
-    k: int
-    pseudo: tuple
-    elements: tuple
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, vec):
-        return tuple(vec) in self.elements
-
-    @property
-    def max_one_norm(self) -> int:
-        return max((sum(abs(c) for c in g) for g in self.elements), default=0)
-
-    @property
-    def max_inf_norm(self) -> int:
-        return max((max(abs(c) for c in g) for g in self.elements), default=0)
-
-
-def compute_graver(matrix: ConfigMatrix) -> GraverBasis:
+def compute_graver(matrix: ConfigMatrix) -> tuple:
+    """The Graver basis of A as the sorted tuple of its elements."""
     if matrix.k > GRAVER_K_GUARD:
         raise ResourceLimitError(
             f"Graver completion guarded at k <= {GRAVER_K_GUARD}, got k={matrix.k}"
         )
-    q = matrix.q
-    zero = (0,) * q
     elements: list = []
-    index: set = set()
-    queue: deque = deque()
+    seen: set = set()
 
     def insert(v):
-        if v == zero or v in index:
-            return
-        if len(elements) >= _COMPLETION_ELEMENT_CAP:
-            raise ResourceLimitError("Graver completion exceeded its element cap")
-        elements.append(v)
-        index.add(v)
-        m = len(elements) - 1
-        for t in range(m + 1):
-            queue.append((t, m))
+        for w in (v, tuple(-c for c in v)):
+            if w not in seen:
+                if len(elements) >= _COMPLETION_ELEMENT_CAP:
+                    raise ResourceLimitError("Graver completion exceeded its element cap")
+                elements.append(w)
+                seen.add(w)
 
     for b in kernel_basis(matrix):
         insert(b)
-        insert(tuple(-c for c in b))
-    while queue:
-        i, j = queue.popleft()
-        s = tuple(a + b for a, b in zip(elements[i], elements[j]))
-        if s == zero:
-            continue
-        r = _normal_form(s, elements)
-        if r == zero:
-            continue
-        insert(r)
-        insert(tuple(-c for c in r))
+    for j, g in enumerate(elements):  # the walk also reaches appended elements
+        for i in range(j + 1):
+            r, _ = _reduce(tuple(a + b for a, b in zip(elements[i], g)), elements)
+            if any(r):
+                insert(r)
     minimal = [
         g
         for g in elements
         if not any(h != g and sqsubseteq(h, g) for h in elements)
     ]
-    return GraverBasis(matrix.k, matrix.pseudo, tuple(sorted(minimal)))
+    return tuple(sorted(minimal))
 
 
-_BASIS_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def graver_basis_for(k: int, pseudo: tuple) -> tuple:
+    """compute_graver(config_matrix(k, pseudo)), memoized."""
+    return compute_graver(config_matrix(k, pseudo))
 
 
-def graver_basis_for(k: int, pseudo) -> GraverBasis:
-    """Memoized per (k, pseudo)."""
-    key = (k, tuple(pseudo))
-    basis = _BASIS_CACHE.get(key)
-    if basis is None:
-        basis = compute_graver(config_matrix(k, key[1]))
-        _BASIS_CACHE[key] = basis
-    return basis
-
-
-def decompose(h, basis: GraverBasis) -> list:
-    """Write a kernel vector as a sum of conforming basis elements.
+def decompose(h, basis: tuple, matrix: ConfigMatrix) -> list:
+    """Write a kernel vector of A = matrix as a sum of conforming basis
+    elements.
 
     Greedy: subtract the first basis element conforming to the running
     remainder. Every returned term is sign-compatible with h.
     """
     h = tuple(h)
-    matrix = config_matrix(basis.k, basis.pseudo)
     if not any(h):
         raise InputError("cannot decompose the zero vector")
     if any(matrix.mat_vec(h)):
         raise InputError("vector is not in the kernel of A")
-    terms = []
-    rem = h
-    while any(rem):
-        g = next((g for g in basis.elements if sqsubseteq(g, rem)), None)
-        if g is None:
-            raise InvariantViolation(
-                f"no basis element conforms to remainder {rem}; basis incomplete"
-            )
-        terms.append(g)
-        rem = tuple(a - b for a, b in zip(rem, g))
+    rem, terms = _reduce(h, basis)
+    if any(rem):
+        raise InvariantViolation(
+            f"no basis element conforms to remainder {rem}; basis incomplete"
+        )
     return terms
 
 
@@ -275,7 +233,6 @@ class BoundCertificate:
     exp_ceiling: int
     q_delta: int
     max_inf_norm: int
-    max_one_norm: int
     inf_norm_ok: bool
     delta_ok: bool
 
@@ -284,7 +241,7 @@ class BoundCertificate:
         return self.inf_norm_ok and self.delta_ok
 
 
-def certify_bounds(basis: GraverBasis, matrix: ConfigMatrix) -> BoundCertificate:
+def certify_bounds(basis: tuple, matrix: ConfigMatrix) -> BoundCertificate:
     """Check every basis element against the subdeterminant-derived caps.
 
     A failure here is reported, not raised; the test suite treats any
@@ -292,14 +249,12 @@ def certify_bounds(basis: GraverBasis, matrix: ConfigMatrix) -> BoundCertificate
     """
     delta = max_subdeterminant(matrix)
     cap = exp_ceiling(matrix.k)
-    inf_norm = basis.max_inf_norm
-    one_norm = basis.max_one_norm
+    inf_norm = max(max(map(abs, g)) for g in basis)
     return BoundCertificate(
         delta=delta,
         exp_ceiling=cap,
         q_delta=matrix.q * delta,
         max_inf_norm=inf_norm,
-        max_one_norm=one_norm,
         inf_norm_ok=inf_norm <= matrix.q * delta,
         delta_ok=delta <= cap,
     )

@@ -160,11 +160,14 @@ def _checked_requests(instance: Instance, requests) -> list:
     return requests
 
 
-def opt_cost(instance: Instance, initial: Mapping, requests) -> int:
-    """Minimum total communication + migration over all offline plays."""
+def opt_cost(instance: Instance, initial: Mapping | None, requests) -> int:
+    """Minimum total communication + migration over all offline plays
+    from the initial mapping (None: the block layout)."""
     opt_guard(instance)
     requests = _checked_requests(instance, requests)
-    if initial.instance != instance:
+    if initial is None:
+        initial = Mapping.default(instance)
+    elif initial.instance != instance:
         raise InputError(
             f"initial mapping is for {initial.instance}, not {instance}"
         )

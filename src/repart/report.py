@@ -19,7 +19,7 @@ from .configs import config_matrix
 from .engine import ALGORITHMS, Engine, remap_records
 from .errors import InputError, VerificationError
 from .graver import GRAVER_K_GUARD, SUBDET_K_GUARD, graver_basis_for, max_subdeterminant
-from .model import Instance, Mapping
+from .model import Instance
 from .optimum import opt_cost, opt_guard, opt_per_phase_lower_bound
 from .verify import check_remap
 from .workloads import Workload
@@ -177,9 +177,8 @@ def run_experiment(workload: Workload, options: ExperimentOptions = ExperimentOp
     opt_value = None
     certificates = None
     if options.compute_opt:
-        initial = workload.initial or Mapping.default(instance)
         served = [outcome.request for outcome in engine.outcomes]
-        opt_value = opt_cost(instance, initial, served)
+        opt_value = opt_cost(instance, workload.initial, served)
         certificates = opt_per_phase_lower_bound(
             instance, served, engine.completed_phases
         )
@@ -220,7 +219,7 @@ def _graver_stats(k: int, records) -> dict:
     }
     if pseudos and k <= GRAVER_K_GUARD:
         stats["max_basis_one_norm"] = max(
-            graver_basis_for(k, p).max_one_norm for p in pseudos
+            sum(map(abs, g)) for p in pseudos for g in graver_basis_for(k, p)
         )
     if pseudos and k <= SUBDET_K_GUARD:
         stats["delta_max"] = max(

@@ -126,7 +126,7 @@ def test_criterion_05_decomposition_totality(capsys):
                     h = [a + coeff * e for a, e in zip(h, b)]
                 if all(v == 0 for v in h) or max(abs(v) for v in h) > 20:
                     continue
-                terms = decompose(tuple(h), basis)
+                terms = decompose(tuple(h), basis, matrix)
                 assert [sum(col) for col in zip(*terms)] == h
                 for t in terms:
                     assert t in basis

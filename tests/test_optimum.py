@@ -238,6 +238,13 @@ def test_opt_respects_given_initial_mapping():
     assert opt_cost(inst, init, [Request(0, 2)] * 5) == 0
 
 
+def test_opt_reads_no_initial_mapping_as_the_block_layout():
+    for k, l in ((1, 4), (2, 3), (3, 2)):
+        inst = Instance(k, l)
+        reqs = generate_workload("uniform-random", inst, 30, 7).requests
+        assert opt_cost(inst, None, reqs) == opt_cost(inst, _default(inst), reqs)
+
+
 def test_opt_k1_pays_every_request():
     inst = Instance(1, 4)
     reqs = [Request(0, 1), Request(2, 3), Request(0, 3)]

@@ -118,7 +118,7 @@ def test_verify_suite_at_k5_renders_the_pinned_text():
     assert parity.sha256([text]) == parity.read_manifest()["verify-suite/k5"]
 
 
-def _decompose_twice(h, basis):
+def _decompose_twice(h, basis, matrix):
     return [h, h]
 
 
