@@ -36,16 +36,16 @@ The seven blocks:
   * `verify-suite/k4|k5`: `verify_suite(k).render()`;
   * `graver/k<k>/<pseudo>`: what `repart graver --k K --pseudo P` prints
     (the basis, its norms and its bound certificate), for every pseudo
-    configuration at k 1-5.
+    configuration at k 1-5 and for the three k = 6 ones in K6_PSEUDOS.
 
-The full check takes about 18 s on one core of an Intel Xeon (Python
+The full check takes about 37 s on one core of an Intel Xeon (Python
 3.11). The tier-1 tests check the cases marked tier1, the matrix runs
-with n <= 16 and every other case but `verify-suite/k4`, one block per
-test: the matrix in tests/test_parity.py, `golden/...` in
-tests/test_golden_digest.py, `records/...`, `wide-comp-any/...` and
-`records-large/...` in tests/test_remap_records.py,
-`verify-suite/k5` in tests/test_verify.py and `graver/...` in
-tests/test_graver.py.
+with n <= 16 and every other case but `verify-suite/k4` and the k = 6
+`graver/...` cases, one block per test: the matrix in
+tests/test_parity.py, `golden/...` in tests/test_golden_digest.py,
+`records/...`, `wide-comp-any/...` and `records-large/...` in
+tests/test_remap_records.py, `verify-suite/k5` in tests/test_verify.py
+and `graver/...` in tests/test_graver.py.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ SEED = 11
 STARTS = ("block", "shuffle")
 # the workload kinds the blocks pin, named here so a new kind adds no case
 KINDS = ("uniform-random", "merge-chain", "split-probe")
+# k = 6 bases of 126, 200 and 266 elements (1-8 s each), pinned outside tier 1
+K6_PSEUDOS = ((0, 0, 0, 0, 0, 2), (1, 1, 0, 1, 1, 0), (2, 1, 1, 0, 1, 0))
 
 
 class Case(NamedTuple):
@@ -207,11 +209,11 @@ def cases() -> list:
         for l in (8, 32, 128)
     ]
     out.append(Case("verify-suite/k5", "verify-suite", True, lambda: [verify_suite(5).render()]))
-    out += [
-        Case(f"graver/k{k}/{p}", "graver", True, partial(_graver_payload, k, p))
-        for k in range(1, 6)
-        for p in (",".join(map(str, pseudo)) for pseudo in pseudo_configurations(k))
-    ]
+    graver_pseudos = [(k, pseudo) for k in range(1, 6) for pseudo in pseudo_configurations(k)]
+    graver_pseudos += [(6, pseudo) for pseudo in K6_PSEUDOS]
+    for k, pseudo in graver_pseudos:
+        p = ",".join(map(str, pseudo))
+        out.append(Case(f"graver/k{k}/{p}", "graver", k <= 5, partial(_graver_payload, k, p)))
     return out
 
 
