@@ -9,13 +9,14 @@ scan of the basis for the cheapest applicable move
 bounds that make that scan sound (max |subdeterminant| and the
 infinity-norm cap).
 
-Computation is by completion. The element list starts as an integer
-kernel lattice basis and its negations. A walk over the list by index
-adds the j-th element to each element 0..j and reduces the sum: it
-subtracts the first element conforming to the remainder until none
-conforms. A nonzero remainder and its negation join the end of the
-list, so the walk reaches them too; it stops at the end of the list.
-The basis is the sorted tuple of the sign-order-minimal elements.
+Computation is by completion. The element list starts as a kernel
+lattice basis read off the columns of A (kernel_basis) and its
+negations. A walk over the list by index adds the j-th element to each
+element 0..j and reduces the sum: it subtracts the first element
+conforming to the remainder until none conforms. A nonzero remainder
+and its negation join the end of the list, so the walk reaches them
+too; it stops at the end of the list. The basis is the sorted tuple of
+the sign-order-minimal elements.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .configs import ConfigMatrix, config_matrix
+from .configs import ConfigMatrix, config_matrix, nd
 from .errors import InputError, InvariantViolation, ResourceLimitError
 
 GRAVER_K_GUARD = 6
@@ -52,49 +53,34 @@ def sqsubseteq(a, b) -> bool:
 
 
 def kernel_basis(matrix: ConfigMatrix) -> tuple:
-    """Integer basis of the kernel lattice of A.
+    """Integer basis of the kernel lattice of A, read off its columns.
 
-    Hermite-style unimodular column reduction mirrored on an identity
-    matrix; the identity columns over the zeroed-out columns of A span
-    every integer kernel vector.
+    The columns b_s = (k - s) singletons + one size-s component, s = 1..k
+    (b_1 is all singletons), are independent. Any other column c, of
+    demand m*k (m = 2 for the pseudo), is sum_s c_s*b_s over s >= 2 plus
+    (m - sum_s c_s)*b_1, so its unit vector minus that combination lies
+    in the kernel. These vectors are a signed identity on the other
+    columns, hence a lattice basis; each is negated if its first nonzero
+    entry is negative, and the tuple is sorted.
     """
-    k, q = matrix.k, matrix.q
-    a = [list(col) for col in matrix.columns]
-    u = [[1 if i == j else 0 for i in range(q)] for j in range(q)]
-    pivot = 0
-    for r in range(k):
-        while True:
-            nz = [j for j in range(pivot, q) if a[j][r] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(a[j][r]), j))
-            a[pivot], a[j0] = a[j0], a[pivot]
-            u[pivot], u[j0] = u[j0], u[pivot]
-            if a[pivot][r] < 0:
-                a[pivot] = [-x for x in a[pivot]]
-                u[pivot] = [-x for x in u[pivot]]
-            p = a[pivot][r]
-            done = True
-            for j in range(pivot + 1, q):
-                if a[j][r] == 0:
-                    continue
-                f = a[j][r] // p
-                if f:
-                    a[j] = [x - f * y for x, y in zip(a[j], a[pivot])]
-                    u[j] = [x - f * y for x, y in zip(u[j], u[pivot])]
-                if a[j][r] != 0:
-                    done = False
-            if done:
-                pivot += 1
-                break
+    k, columns = matrix.k, matrix.columns
+    pivots = []
+    for s in range(1, k + 1):
+        b = [0] * k
+        b[0] += k - s
+        b[s - 1] += 1
+        pivots.append(columns.index(tuple(b)))
     basis = []
-    for j in range(q):
-        if all(x == 0 for x in a[j]):
-            vec = u[j]
-            lead = next((x for x in vec if x != 0), 0)
-            if lead < 0:
-                vec = [-x for x in vec]
-            basis.append(tuple(vec))
+    for j, col in enumerate(columns):
+        if j in pivots:
+            continue
+        vec = [0] * matrix.q
+        vec[j] = 1
+        for p, c in zip(pivots, (nd(col) // k - sum(col[1:]),) + col[1:]):
+            vec[p] -= c
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        basis.append(tuple(vec))
     return tuple(sorted(basis))
 
 

@@ -17,6 +17,7 @@ from repart.graver import (
     sign_compatible,
     sqsubseteq,
 )
+from repart.verify import box_kernel_vectors
 
 
 def test_sign_compatible():
@@ -45,6 +46,40 @@ def test_kernel_basis_spans_kernel():
     for b in basis:
         assert matrix.mat_vec(b) == (0, 0)
         assert any(e != 0 for e in b)
+
+
+def _pivots(k, columns):
+    """Indices of the columns b_s = (k - s) singletons + one size-s
+    component, s = 1..k."""
+    out = []
+    for s in range(1, k + 1):
+        b = [k - s] + [0] * (k - 1)
+        b[s - 1] += 1
+        out.append(columns.index(tuple(b)))
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_kernel_basis_is_a_signed_identity_off_the_pivot_columns(k):
+    for pseudo in pseudo_configurations(k):
+        matrix = config_matrix(k, pseudo)
+        basis = kernel_basis(matrix)
+        others = [j for j in range(matrix.q) if j not in _pivots(k, matrix.columns)]
+        assert basis == tuple(sorted(basis))
+        unit = {}  # other column j -> the basis vector, signed to be 1 at j
+        for b in basis:
+            assert matrix.mat_vec(b) == (0,) * k
+            assert next(x for x in b if x) > 0
+            (j,) = [j for j in others if b[j]]
+            assert b[j] in (1, -1)
+            unit[j] = tuple(b[j] * x for x in b)
+        assert sorted(unit) == others
+        if k <= 3:  # every small kernel vector is the combination its coordinates name
+            for h in box_kernel_vectors(matrix, 2):
+                combo = [0] * matrix.q
+                for j, v in unit.items():
+                    combo = [a + h[j] * x for a, x in zip(combo, v)]
+                assert tuple(combo) == h
 
 
 def test_basis_k2_pair_pseudo():
