@@ -13,10 +13,12 @@ Computation is by completion. The element list starts as a kernel
 lattice basis read off the columns of A (kernel_basis) and its
 negations. A walk over the list by index adds the j-th element to each
 element 0..j and reduces the sum: it subtracts the first element
-conforming to the remainder until none conforms. A nonzero remainder
-and its negation join the end of the list, so the walk reaches them
-too; it stops at the end of the list. The basis is the sorted tuple of
-the sign-order-minimal elements.
+conforming to the remainder until none conforms. A sign-compatible pair
+is skipped, as its sum is a conformal sum of two elements already
+(Hemmecke, Math. Programming 2003). A nonzero remainder and its
+negation join the end of the list, so the walk reaches them too; it
+stops at the end of the list. The basis is the sorted tuple of the
+sign-order-minimal elements.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ def compute_graver(matrix: ConfigMatrix) -> tuple:
         insert(b)
     for j, g in enumerate(elements):  # the walk also reaches appended elements
         for i in range(j + 1):
+            if sign_compatible(elements[i], g):  # the sum is already conformal
+                continue
             r, _ = _reduce(tuple(a + b for a, b in zip(elements[i], g)), elements)
             if any(r):
                 insert(r)
