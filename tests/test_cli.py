@@ -17,7 +17,6 @@ import repart.cli as cli
 from repart import configs, engine, graver, optimum, verify
 from repart.configs import solve_any_target
 from repart.errors import InvariantViolation, VerificationError
-from repart.graver import graver_basis_for
 from repart.model import MAX_NODES, Instance, Request
 from repart.report import ExperimentOptions, run_experiment
 from repart.workloads import Workload, generate_workload

@@ -8,7 +8,7 @@ import pytest
 
 from repart.errors import InputError
 from repart.model import Instance, Request
-from repart.report import ExperimentOptions, Report, ratio_strings, run_experiment
+from repart.report import ExperimentOptions, ratio_strings, run_experiment
 from repart.workloads import Workload, generate_workload
 
 

@@ -1,4 +1,7 @@
-"""Every name a `repart` module imports is used by that module.
+"""Every name a Python file of the project imports is used by that file.
+
+The files are the `repart` modules and the `.py` files of `tests/`,
+`tools/` and `perfbench/`.
 
 No linter ships with the project, so this is an `ast` check in the spirit
 of pyflakes' F401. A name counts as used when the module reads it
@@ -11,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "repart").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "repart"
+SOURCES = sorted(PACKAGE.glob("*.py")) + [
+    path
+    for folder in ("tests", "tools", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def unused_imports(source: str) -> list:
@@ -37,7 +46,12 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def _source_id(path):
+    """A `repart` module by its file name, any other file by its path."""
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
