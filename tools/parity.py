@@ -38,7 +38,7 @@ The seven blocks:
     (the basis, its norms and its bound certificate), for every pseudo
     configuration at k 1-5 and for the three k = 6 ones in K6_PSEUDOS.
 
-The full check takes about 37 s on one core of an Intel Xeon (Python
+The full check takes about 24 s on one core of an Intel Xeon (Python
 3.11). The tier-1 tests check the cases marked tier1, the matrix runs
 with n <= 16 and every other case but `verify-suite/k4` and the k = 6
 `graver/...` cases, one block per test: the matrix in
