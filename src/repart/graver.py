@@ -68,8 +68,7 @@ def kernel_basis(matrix: ConfigMatrix) -> tuple:
     k, columns = matrix.k, matrix.columns
     pivots = []
     for s in range(1, k + 1):
-        b = [0] * k
-        b[0] += k - s
+        b = [k - s] + [0] * (k - 1)
         b[s - 1] += 1
         pivots.append(columns.index(tuple(b)))
     basis = []

@@ -64,7 +64,8 @@ def test_kernel_basis_is_a_signed_identity_off_the_pivot_columns(k):
     for pseudo in pseudo_configurations(k):
         matrix = config_matrix(k, pseudo)
         basis = kernel_basis(matrix)
-        others = [j for j in range(matrix.q) if j not in _pivots(k, matrix.columns)]
+        pivots = _pivots(k, matrix.columns)
+        others = [j for j in range(matrix.q) if j not in pivots]
         assert basis == tuple(sorted(basis))
         unit = {}  # other column j -> the basis vector, signed to be 1 at j
         for b in basis:

@@ -80,7 +80,7 @@ SEED = 11
 STARTS = ("block", "shuffle")
 # the workload kinds the blocks pin, named here so a new kind adds no case
 KINDS = ("uniform-random", "merge-chain", "split-probe")
-# k = 6 bases of 126, 200 and 266 elements (1-8 s each), pinned outside tier 1
+# k = 6 bases of 126, 200 and 266 elements (0.6-4.5 s each), pinned outside tier 1
 K6_PSEUDOS = ((0, 0, 0, 0, 0, 2), (1, 1, 0, 1, 1, 0), (2, 1, 1, 0, 1, 0))
 
 
