@@ -275,32 +275,29 @@ def min_affected_target(matrix: ConfigMatrix, x):
 @lru_cache(maxsize=1 << 14)
 def _least_packing(d: tuple, k: int):
     """Lexicographically least Y >= 0 over the real configurations with
-    A*Y = d, or None.
+    A*Y = d, or None."""
+    return _least_from(enumerate_configurations(k), 0, d, set())
 
-    Depth-first over the configurations in their fixed order, trying
-    each count from 0 upward, so the first packing found is the least;
-    (configuration, remaining demand) states known to fail are skipped.
+
+def _least_from(columns, j, rem, fail):
+    """The least counts of columns[j:] that cover rem, or None.
+
+    Depth-first over the columns in order, trying each count from 0
+    upward, so the first packing found is the least; (j, rem) states
+    known to fail are skipped. Module-level: a self-recursive closure
+    is a reference cycle, garbage that only the cyclic collector frees.
     """
-    columns = enumerate_configurations(k)
-    y = [0] * len(columns)
-    fail = set()
-
-    def rec(j, rem):
-        if not any(rem):
-            return True
-        if j == len(columns) or (j, rem) in fail:
-            return False
-        col = columns[j]
-        most = min(r // c for r, c in zip(rem, col) if c)
-        for take in range(most + 1):
-            y[j] = take
-            if rec(j + 1, tuple(a - take * c for a, c in zip(rem, col))):
-                return True
-        y[j] = 0
-        fail.add((j, rem))
-        return False
-
-    return tuple(y) if rec(0, d) else None
+    if not any(rem):
+        return (0,) * (len(columns) - j)
+    if j == len(columns) or (j, rem) in fail:
+        return None
+    col = columns[j]
+    for take in range(min(r // c for r, c in zip(rem, col) if c) + 1):
+        rest = _least_from(columns, j + 1, tuple(a - take * c for a, c in zip(rem, col)), fail)
+        if rest is not None:
+            return (take,) + rest
+    fail.add((j, rem))
+    return None
 
 
 def demand_packable(u, k: int) -> bool:
@@ -308,17 +305,16 @@ def demand_packable(u, k: int) -> bool:
     return _packable(tuple(u), k)
 
 
-def merge_packable(demand, a: int, b: int, k: int) -> bool:
-    """Does the size demand still pack once a size-a and a size-b
-    component merge? demand[s - 1] counts the size-s components.
-    """
-    if a + b > k:
-        return False
-    after = list(demand)
+def merged(counts, a: int, b: int):
+    """Size counts once a size-a and a size-b component merge, or None
+    when a + b outgrows the vector; counts[s - 1] counts size s."""
+    if a + b > len(counts):
+        return None
+    after = list(counts)
     after[a - 1] -= 1
     after[b - 1] -= 1
     after[a + b - 1] += 1
-    return demand_packable(tuple(after), k)
+    return tuple(after)
 
 
 # A bounded memo: an entry is a few hundred bytes, and adaptive

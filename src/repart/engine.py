@@ -59,7 +59,7 @@ from .configs import (
     counts_from_sizes,
     demand_packable,
     is_valid_target,
-    merge_packable,
+    merged,
     min_affected_target,
     revlex_key,
     solve_any_target,
@@ -321,26 +321,23 @@ class Engine:
         endpoints, which lie in different clusters; None when no valid
         mapping can host the merged component family.
 
-        Reads the two components, the census of their clusters and the
-        clusters the plan changes; changes nothing.
+        Reads the two components, the size demand, the census of their
+        clusters and the clusters the plan changes; changes nothing.
         """
         k = self.instance.k
         u, v = request.u, request.v
         ru, rv = partition.find(u), partition.find(v)
         su, sv = partition.size_of(ru), partition.size_of(rv)
-        if not merge_packable(partition.demand(k), su, sv, k):
+        demand = merged(partition.demand(k), su, sv)
+        if demand is None or not demand_packable(demand, k):
             return None
         ca, cb = sorted((self.mapping.cluster_of(u), self.mapping.cluster_of(v)))
-        pseudo = [a + b for a, b in zip(census.counts[ca], census.counts[cb])]
-        pseudo[su - 1] -= 1
-        pseudo[sv - 1] -= 1
-        pseudo[su + sv - 1] += 1
-        matrix = config_matrix(k, tuple(pseudo))
+        own = (census.counts[ca], census.counts[cb])
+        matrix = config_matrix(k, merged([a + b for a, b in zip(*own)], su, sv))
         columns = matrix.columns[:-1]
         # clusters per configuration, the two participants left out
-        held, own = census.clusters_with, (census.counts[ca], census.counts[cb])
+        held = census.clusters_with
         x = tuple(len(held.get(cfg, ())) - own.count(cfg) for cfg in columns) + (1,)
-        demand = matrix.mat_vec(x)
 
         if self.algorithm == "comp-any":
             y = solve_any_target(matrix, demand)
@@ -348,6 +345,7 @@ class Engine:
             y = min_affected_target(matrix, x)
         if y is None:
             raise InvariantViolation("feasible event lost its valid target")
+        # demand is the partition's, so a census that drifted from it fails here
         if not is_valid_target(y, matrix, demand):
             raise InvariantViolation(f"planned target {y} is not valid")
         affected, moves = self._realize(

@@ -15,7 +15,10 @@ negations. A walk over the list by index adds the j-th element to each
 element 0..j and reduces the sum: it subtracts the first element
 conforming to the remainder until none conforms. A sign-compatible pair
 is skipped, as its sum is a conformal sum of two elements already
-(Hemmecke, Math. Programming 2003). A nonzero remainder and its
+(Hemmecke, Math. Programming 2003). Each element keeps its positive and
+negative supports as bitmasks, so that skip is two ANDs and the scan
+passes over an element whose supports do not lie inside the
+remainder's without comparing magnitudes. A nonzero remainder and its
 negation join the end of the list, so the walk reaches them too; it
 stops at the end of the list. The basis is the sorted tuple of the
 sign-order-minimal elements.
@@ -85,18 +88,34 @@ def kernel_basis(matrix: ConfigMatrix) -> tuple:
     return tuple(sorted(basis))
 
 
-def _reduce(s, elements):
+def _supports(v) -> tuple:
+    """(positive support, negative support) of v as bitmasks."""
+    pos = neg = 0
+    for i, c in enumerate(v):
+        if c > 0:
+            pos |= 1 << i
+        elif c < 0:
+            neg |= 1 << i
+    return pos, neg
+
+
+def _conforming(s, elements, masks):
+    """The elements that conform to s, in order; masks[i] is
+    _supports(elements[i]), checked before the magnitudes."""
+    sp, sn = _supports(s)
+    out_p, out_n = ~sp, ~sn
+    for g, (gp, gn) in zip(elements, masks):
+        if not (gp & out_p or gn & out_n) and all(abs(a) <= abs(b) for a, b in zip(g, s)):
+            yield g
+
+
+def _reduce(s, elements, masks):
     """Subtract the first element conforming to s until none conforms;
     return the remainder and the subtracted elements in order."""
     terms = []
-    while any(s):
-        for g in elements:
-            if sqsubseteq(g, s):
-                s = tuple(a - b for a, b in zip(s, g))
-                terms.append(g)
-                break
-        else:
-            break
+    while any(s) and (g := next(_conforming(s, elements, masks), None)) is not None:
+        s = tuple(a - b for a, b in zip(s, g))
+        terms.append(g)
     return s, terms
 
 
@@ -107,6 +126,7 @@ def compute_graver(matrix: ConfigMatrix) -> tuple:
             f"Graver completion guarded at k <= {GRAVER_K_GUARD}, got k={matrix.k}"
         )
     elements: list = []
+    masks: list = []  # masks[i] = _supports(elements[i])
     seen: set = set()
 
     def insert(v):
@@ -115,21 +135,22 @@ def compute_graver(matrix: ConfigMatrix) -> tuple:
                 if len(elements) >= _COMPLETION_ELEMENT_CAP:
                     raise ResourceLimitError("Graver completion exceeded its element cap")
                 elements.append(w)
+                masks.append(_supports(w))
                 seen.add(w)
 
     for b in kernel_basis(matrix):
         insert(b)
     for j, g in enumerate(elements):  # the walk also reaches appended elements
+        gp, gn = masks[j]
         for i in range(j + 1):
-            if sign_compatible(elements[i], g):  # the sum is already conformal
+            hp, hn = masks[i]
+            if not (hp & gn or hn & gp):  # sign-compatible: the sum is already conformal
                 continue
-            r, _ = _reduce(tuple(a + b for a, b in zip(elements[i], g)), elements)
+            r, _ = _reduce(tuple(a + b for a, b in zip(elements[i], g)), elements, masks)
             if any(r):
                 insert(r)
     minimal = [
-        g
-        for g in elements
-        if not any(h != g and sqsubseteq(h, g) for h in elements)
+        g for g in elements if not any(h != g for h in _conforming(g, elements, masks))
     ]
     return tuple(sorted(minimal))
 
@@ -138,6 +159,13 @@ def compute_graver(matrix: ConfigMatrix) -> tuple:
 def graver_basis_for(k: int, pseudo: tuple) -> tuple:
     """compute_graver(config_matrix(k, pseudo)), memoized."""
     return compute_graver(config_matrix(k, pseudo))
+
+
+@lru_cache(maxsize=64)
+def _basis_masks(basis: tuple) -> tuple:
+    """_supports of each basis element; memoized, as verify decomposes
+    hundreds of vectors on one basis."""
+    return tuple(map(_supports, basis))
 
 
 def decompose(h, basis: tuple, matrix: ConfigMatrix) -> list:
@@ -152,7 +180,7 @@ def decompose(h, basis: tuple, matrix: ConfigMatrix) -> list:
         raise InputError("cannot decompose the zero vector")
     if any(matrix.mat_vec(h)):
         raise InputError("vector is not in the kernel of A")
-    rem, terms = _reduce(h, basis)
+    rem, terms = _reduce(h, basis, _basis_masks(tuple(basis)))
     if any(rem):
         raise InvariantViolation(
             f"no basis element conforms to remainder {rem}; basis incomplete"

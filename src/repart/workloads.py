@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .configs import merge_packable
+from .configs import demand_packable, merged
 
 # Unused here: perfbench/test_perfbench.py::test_layers_patch_every_binding_and_restore
 # reads this binding. ROADMAP item 1 stops the benchmark binding it and
@@ -96,7 +96,8 @@ class _MergeChainGenerator:
             pair = (s1, s2) if s1 <= s2 else (s2, s1)
             ok = feasible.get(pair)
             if ok is None:
-                ok = feasible[pair] = merge_packable(demand, s1, s2, k)
+                after = merged(demand, s1, s2)
+                ok = feasible[pair] = after is not None and demand_packable(after, k)
             key = (0 if ok else 1, -(s1 + s2), m1, m2)
             if best is None or key < best:
                 best = key

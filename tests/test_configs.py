@@ -4,6 +4,8 @@ Expected counts come from the independent recursive partition counter in
 repart.verify, which was written before this module and frozen here.
 """
 
+import gc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from repart.configs import (
     demand_packable,
     enumerate_configurations,
     is_valid_target,
+    merged,
     min_affected_target,
     nd,
     pseudo_configurations,
@@ -141,6 +144,13 @@ def test_solve_any_target_scaled_column():
 def test_demand_packable():
     assert demand_packable((2, 2), 2)
     assert not demand_packable((0, 3, 0), 3)
+
+
+def test_merged_joins_one_component_of_each_size():
+    assert merged((4, 0, 0, 0), 1, 1) == (2, 1, 0, 0)
+    assert merged((1, 1, 1, 0), 1, 3) == (0, 1, 0, 1)
+    assert merged([0, 2, 0, 0], 2, 2) == (0, 0, 0, 1)
+    assert merged((0, 2, 0), 2, 2) is None  # size 4 outgrows k = 3
 
 
 def _first_packing(u, columns):
@@ -401,3 +411,19 @@ def test_min_affected_target_matches_the_reference_enumeration(state):
     k, pseudo, x = state
     matrix = config_matrix(k, pseudo)
     assert min_affected_target(matrix, x) == _reference_min_affected_target(matrix, x)
+
+
+def test_a_least_packing_miss_leaves_no_reference_cycle():
+    matrix = config_matrix(4, (0, 0, 0, 2))
+    x = (0, 0, 1, 0, 1, 1)
+    configs._least_packing.cache_clear()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert min_affected_target(matrix, x) is not None
+        assert configs._least_packing.cache_info().misses > 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -554,6 +554,18 @@ def test_reset_that_fails_to_plan_leaves_the_engine_unchanged(monkeypatch):
     eng.audit()
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_census_that_drifted_from_the_partition_is_caught(algorithm):
+    eng = Engine(Instance(2, 4), algorithm=algorithm)
+    # cluster 3 drops out of the census, so the state the planner reads,
+    # x = (1, 0, 1), no longer holds the partition's size demand
+    eng.census.clusters_with[(2, 0)].remove(3)
+    before = _engine_state(eng)
+    with pytest.raises(InvariantViolation):
+        eng.serve(Request(0, 2))
+    assert _engine_state(eng) == before
+
+
 def test_remaps_keep_the_lowest_id_clusters_of_each_configuration():
     partial = 0
     for seed in range(8):
