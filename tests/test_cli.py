@@ -459,7 +459,7 @@ def test_readme_test_counts_match_the_pinned_matrices():
     cases = parity.cases()
     blocks = Counter(case.block for case in cases)
     text = " ".join(_readme().split())  # undo the line wrapping
-    assert f"{len(cases)} cases in seven blocks" in text
+    assert f"{len(cases)} cases in eight blocks" in text
     assert f"the matrix of {blocks.pop('matrix')} runs" in text
     for block, count in blocks.items():
         assert f"`{block}/…`, {count} " in text

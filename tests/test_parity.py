@@ -1,7 +1,7 @@
 """The parity harness's manifest and its matrix runs with n <= 16.
 
 tools/parity.py digests the reports, event lines and remap records of a
-fixed matrix of runs and of six named blocks; its manifest is the one
+fixed matrix of runs and of seven named blocks; its manifest is the one
 place an output is pinned, was written before the current code, and
 must not change with a refactor. The tier-1 tests check the cases
 marked tier1, one block per test; `python3 tools/parity.py` checks them

@@ -16,7 +16,7 @@ and exits 1 if there is any. A change that keeps every output
 byte-identical passes unedited; only a change that alters an output on
 purpose rewrites the manifest, and says so.
 
-The seven blocks:
+The eight blocks:
   * the matrix: every workload kind x k 1-5 x l {2, 3, 5, 16, 64} x
     both algorithms x a block and a seeded-shuffle initial mapping, 120
     requests from seed 11, with the optimum where n <= 8 and --verify
@@ -34,17 +34,21 @@ The seven blocks:
   * `wide-comp-any/l8|l32|l128`: one comp-any remap that affects all
     but one cluster;
   * `verify-suite/k4|k5`: `verify_suite(k).render()`;
+  * `skewed/<algorithm>`: the three remaps of SKEWED_REQUESTS on the
+    k = 5, l = 1024 state that SKEWED_LAYOUT builds, where a packing
+    search can backtrack for a long time (about 1 s per comp-any remap);
   * `graver/k<k>/<pseudo>`: what `repart graver --k K --pseudo P` prints
     (the basis, its norms and its bound certificate), for every pseudo
     configuration at k 1-5 and for the three k = 6 ones in K6_PSEUDOS.
 
-The full check takes about 24 s on one core of an Intel Xeon (Python
+The full check takes about 30 s on one core of an Intel Xeon (Python
 3.11). The tier-1 tests check the cases marked tier1, the matrix runs
-with n <= 16 and every other case but `verify-suite/k4`, one block per
-test: the matrix in tests/test_parity.py, `golden/...` in
-tests/test_golden_digest.py, `records/...`, `wide-comp-any/...` and
-`records-large/...` in tests/test_remap_records.py, `verify-suite/k5`
-in tests/test_verify.py and `graver/...` in tests/test_graver.py.
+with n <= 16 and every other case but `verify-suite/k4` and
+`skewed/...`, one block per test: the matrix in tests/test_parity.py,
+`golden/...` in tests/test_golden_digest.py, `records/...`,
+`wide-comp-any/...` and `records-large/...` in
+tests/test_remap_records.py, `verify-suite/k5` in tests/test_verify.py
+and `graver/...` in tests/test_graver.py.
 """
 
 from __future__ import annotations
@@ -81,6 +85,17 @@ STARTS = ("block", "shuffle")
 KINDS = ("uniform-random", "merge-chain", "split-probe")
 # k = 6 bases of 126, 200 and 266 elements (0.1-0.5 s each to complete)
 K6_PSEUDOS = ((0, 0, 0, 0, 0, 2), (1, 1, 0, 1, 1, 0), (2, 1, 1, 0, 1, 0))
+# (clusters, configuration) filled by same-cluster requests at k = 5,
+# l = 1024: 686, 637, 366, 58 and 366 components of sizes 1..5
+SKEWED_LAYOUT = (
+    (366, (0, 0, 0, 0, 1)),
+    (58, (1, 0, 0, 1, 0)),
+    (366, (0, 1, 1, 0, 0)),
+    (100, (1, 2, 0, 0, 0)),
+    (71, (3, 1, 0, 0, 0)),
+    (63, (5, 0, 0, 0, 0)),
+)
+SKEWED_REQUESTS = ((5110, 5115), (5105, 5116), (5100, 5117))
 
 
 class Case(NamedTuple):
@@ -160,6 +175,22 @@ def _wide_comp_any_lines(l):
     return _record_lines([_wide_comp_any_record(l)])
 
 
+def _skewed_lines(algorithm):
+    """The remap records of SKEWED_REQUESTS on the SKEWED_LAYOUT state."""
+    engine = Engine(Instance(5, 1024), algorithm=algorithm)
+    first = 0
+    for count, config in SKEWED_LAYOUT:
+        for _ in range(count):
+            for size in range(5, 0, -1):
+                for _ in range(config[size - 1]):
+                    for node in range(first + 1, first + size):
+                        engine.serve(Request(first, node))
+                    first += size
+    for u, v in SKEWED_REQUESTS:
+        engine.serve(Request(u, v))
+    return _record_lines(engine.remap_records)
+
+
 def _graver_payload(k, pseudo):
     """What `repart graver --k K --pseudo P` prints, P = pseudo."""
     out = io.StringIO()
@@ -213,6 +244,10 @@ def cases() -> list:
     for k, pseudo in graver_pseudos:
         p = ",".join(map(str, pseudo))
         out.append(Case(f"graver/k{k}/{p}", "graver", True, partial(_graver_payload, k, p)))
+    out += [
+        Case(f"skewed/{algorithm}", "skewed", False, partial(_skewed_lines, algorithm))
+        for algorithm in ALGORITHMS
+    ]
     return out
 
 
