@@ -154,73 +154,85 @@ def is_valid_target(y, matrix: ConfigMatrix, u) -> bool:
     return matrix.mat_vec(y) == tuple(u)
 
 
-def _pack_counts(u, columns):
-    """First way to write u as a nonnegative integer combination of columns.
+@lru_cache(maxsize=None)
+def _visit_order(k: int, largest_first: bool, ties_reversed: bool):
+    """(order, columns, closing): the packing search's plan at k.
 
-    Depth-first search that covers the largest uncovered size first and
-    tries columns in the order given; states known to fail are
-    skipped. The search is iterative, and a run of picks of one column
-    is one stack frame until the search backtracks into it, so a
-    demand that packs without backtracking costs O(k * columns) steps
-    however many clusters it fills.
+    order lists the configuration indices in visit order: configuration
+    order, reversed when ties_reversed, then stably sorted largest
+    component first when largest_first. columns[j] is configuration
+    order[j], and closing[j] the sizes (as indices) that columns[j] is
+    the last to hold.
+    """
+    configs = enumerate_configurations(k)
+    order = range(len(configs))[::-1] if ties_reversed else range(len(configs))
+    if largest_first:
+        order = sorted(order, key=lambda j: -max(s for s, c in enumerate(configs[j]) if c))
+    columns = tuple(configs[j] for j in order)
+    closing = tuple(
+        tuple(s for s in range(k) if col[s] and not any(c[s] for c in columns[j + 1 :]))
+        for j, col in enumerate(columns)
+    )
+    return tuple(order), columns, closing
+
+
+def _packing(u, k: int, greatest: bool, largest_first: bool, ties_reversed=False):
+    """Counts, in configuration order, of one way to write u as a
+    nonnegative integer combination of the real configurations, or None.
+
+    The greatest or the least such counts, lexicographically, with the
+    configurations read in the visit order that largest_first and
+    ties_reversed fix (see _visit_order).
     """
     if any(c < 0 for c in u):
         return None
-    k = len(u)
-    # with_size[s]: ids of the columns holding a size-(s + 1) component
-    with_size = [[j for j, col in enumerate(columns) if col[s]] for s in range(k)]
-    fail = set()
-    # frame [rem, s, pos, reps]: from state rem, whose largest uncovered
-    # size index is s, column with_size[s][pos] was picked reps times
-    stack = []
+    plan = _visit_order(k, largest_first, ties_reversed)
+    y = [0] * len(plan[0])
+    return tuple(y) if _cover(tuple(u), 0, plan, greatest, y, set()) else None
 
-    def top(rem):
-        for s in range(k - 1, -1, -1):
-            if rem[s]:
-                return s
-        return -1
 
-    def advance(rem, s, at):
-        """Pick the first column from position at that fits, as many times
-        as it fits in a row; the state after the picks, or None."""
-        for pos in range(at, len(with_size[s])):
-            col = columns[with_size[s][pos]]
-            reps = min(r // c for r, c in zip(rem, col) if c)
-            if reps:
-                stack.append([rem, s, pos, reps])
-                return tuple(r - reps * c for r, c in zip(rem, col))
-        fail.add(rem)
-        return None
+def _cover(rem, j, plan, greatest, y, fail):
+    """True iff the plan's columns from j on cover rem, their counts then
+    written into y by configuration index.
 
-    rem = tuple(u)
-    while (s := top(rem)) >= 0:
-        rem = None if rem in fail else advance(rem, s, 0)
-        # backtrack: the deepest picked state tries its next column
-        while rem is None and stack:
-            frame = stack[-1]
-            base, s, pos, reps = frame
-            col = columns[with_size[s][pos]]
-            state = tuple(r - (reps - 1) * c for r, c in zip(base, col))
-            if reps > 1:
-                frame[3] = reps - 1
-            else:
-                stack.pop()
-            rem = advance(state, s, pos + 1)
-        if rem is None:
-            return None
-    y = [0] * len(columns)
-    for _, s, pos, reps in stack:
-        y[with_size[s][pos]] += reps
-    return tuple(y)
+    Depth-first over the columns in visit order, trying each count from
+    the most that fits down to 0 when greatest, from 0 up otherwise, so
+    the first cover found is the greatest or the least. A count that
+    leaves uncovered a size no later column holds is not tried, and
+    (j, rem) states known to fail are skipped. The depth is at most the
+    number of configurations, whatever the demand. Module-level: a
+    self-recursive closure is a reference cycle, garbage that only the
+    cyclic collector frees.
+    """
+    if not any(rem):
+        return True
+    order, columns, closing = plan
+    # a column that does not fit takes 0: pass over it in place
+    while not (most := min(r // c for r, c in zip(rem, columns[j]) if c)):
+        if any(rem[s] for s in closing[j]):
+            return False
+        j += 1
+    if (j, rem) in fail:
+        return False
+    col = columns[j]
+    least = max((-(-rem[s] // col[s]) for s in closing[j]), default=0)
+    for take in range(most, least - 1, -1) if greatest else range(least, most + 1):
+        y[order[j]] = take
+        after = tuple(r - take * c for r, c in zip(rem, col)) if take else rem
+        if _cover(after, j + 1, plan, greatest, y, fail):
+            return True
+    y[order[j]] = 0
+    fail.add((j, rem))
+    return False
 
 
 def solve_any_target(matrix: ConfigMatrix, u):
     """Some valid target census for demand u, or None if none exists.
 
-    Deterministic: first solution found scanning configurations in their
-    fixed order, largest uncovered component size first.
+    Deterministic: the greatest packing with the configurations read
+    largest component first, ties in configuration order.
     """
-    counts = _pack_counts(tuple(u), matrix.columns[: matrix.pseudo_index])
+    counts = _packing(u, matrix.k, greatest=True, largest_first=True)
     if counts is None:
         return None
     return counts + (0,)
@@ -276,28 +288,7 @@ def min_affected_target(matrix: ConfigMatrix, x):
 def _least_packing(d: tuple, k: int):
     """Lexicographically least Y >= 0 over the real configurations with
     A*Y = d, or None."""
-    return _least_from(enumerate_configurations(k), 0, d, set())
-
-
-def _least_from(columns, j, rem, fail):
-    """The least counts of columns[j:] that cover rem, or None.
-
-    Depth-first over the columns in order, trying each count from 0
-    upward, so the first packing found is the least; (j, rem) states
-    known to fail are skipped. Module-level: a self-recursive closure
-    is a reference cycle, garbage that only the cyclic collector frees.
-    """
-    if not any(rem):
-        return (0,) * (len(columns) - j)
-    if j == len(columns) or (j, rem) in fail:
-        return None
-    col = columns[j]
-    for take in range(min(r // c for r, c in zip(rem, col) if c) + 1):
-        rest = _least_from(columns, j + 1, tuple(a - take * c for a, c in zip(rem, col)), fail)
-        if rest is not None:
-            return (take,) + rest
-    fail.add((j, rem))
-    return None
+    return _packing(d, k, greatest=False, largest_first=False)
 
 
 def demand_packable(u, k: int) -> bool:
@@ -322,7 +313,7 @@ def merged(counts, a: int, b: int):
 @lru_cache(maxsize=1 << 14)
 def _packable(u: tuple, k: int) -> bool:
     # fewest singletons first: singletons fill what is left, so it rarely backtracks
-    return _pack_counts(u, enumerate_configurations(k)[::-1]) is not None
+    return _packing(u, k, greatest=True, largest_first=True, ties_reversed=True) is not None
 
 
 def brute_force_min_target(x, matrix: ConfigMatrix, u):
@@ -343,10 +334,10 @@ def brute_force_min_target(x, matrix: ConfigMatrix, u):
     if matrix.mat_vec(x) != tuple(u):
         raise InputError("state x and demand u disagree (u must equal A*x)")
     # any valid target caps the depth: take _packable's order, which rarely backtracks
-    packing = _pack_counts(tuple(u), matrix.columns[pi - 1 :: -1])
+    packing = _packing(u, matrix.k, greatest=True, largest_first=True, ties_reversed=True)
     if packing is None:
         return None
-    cap = sum(abs(a - b) for a, b in zip(x, packing[::-1] + (0,)))
+    cap = sum(abs(a - b) for a, b in zip(x, packing + (0,)))
     cols = matrix.columns
     k = matrix.k
     # suffix_max[j][i]: largest row-i entry among columns j..q-2

@@ -5,6 +5,8 @@ repart.verify, which was written before this module and frozen here.
 """
 
 import gc
+from collections import defaultdict
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,14 +221,56 @@ def filled_demands(draw):
 def test_demand_packable_agrees_with_the_fixed_order_search(demand):
     # demand_packable searches the configurations in reverse order
     u, k = demand
-    want = configs._pack_counts(u, enumerate_configurations(k)) is not None
+    want = _first_packing(u, enumerate_configurations(k)) is not None
     assert demand_packable(u, k) == want
 
 
+def _every_packing(columns, clusters):
+    """Demand -> every count vector of exactly `clusters` configurations
+    that meets it, by drawing every multiset of that many columns."""
+    out = defaultdict(list)
+    for picks in combinations_with_replacement(range(len(columns)), clusters):
+        y = tuple(picks.count(j) for j in range(len(columns)))
+        d = tuple(sum(n * col[s] for n, col in zip(y, columns)) for s in range(len(columns[0])))
+        out[d].append(y)
+    return out
+
+
+def test_packings_are_the_extremes_of_every_packing():
+    # every demand of one to four clusters at k <= 6, and every demand
+    # one merge away from one of them that no packing meets
+    unpackable = 0
+    for k in range(1, 7):
+        columns = enumerate_configurations(k)
+        matrix = config_matrix(k, (0,) * (k - 1) + (2,))
+        largest = [max(s for s, c in enumerate(col) if c) for col in columns]
+        # solve_any_target reads the configurations largest component
+        # first, ties in configuration order
+        visit = sorted(range(len(columns)), key=lambda j: -largest[j])
+        for clusters in range(1, 5):
+            packings = _every_packing(columns, clusters)
+            for d, ys in packings.items():
+                assert configs._least_packing(d, k) == min(ys)
+                greatest = max(ys, key=lambda y: [y[j] for j in visit])
+                assert solve_any_target(matrix, d) == greatest + (0,)
+                assert demand_packable(d, k)
+                for a in range(1, k + 1):
+                    for b in range(a, k + 1):
+                        after = merged(d, a, b)
+                        if after is None or min(after) < 0 or after in packings:
+                            continue
+                        unpackable += 1
+                        assert configs._least_packing(after, k) is None
+                        assert solve_any_target(matrix, after) is None
+                        assert not demand_packable(after, k)
+    assert unpackable > 0
+
+
 def test_packing_search_handles_thousands_of_clusters():
-    # the search once recursed once per cluster filled
+    # the search once recursed once per cluster filled; now its depth is
+    # at most the configuration count, 77 at MAX_ENUMERATION_K
     l = 5000
-    for k in (2, 4):
+    for k in (2, 4, configs.MAX_ENUMERATION_K):
         u = (k * l - 2, 1) + (0,) * (k - 2)
         assert demand_packable(u, k)
         y = solve_any_target(config_matrix(k, (0,) * (k - 1) + (2,)), u)
@@ -414,15 +458,23 @@ def test_min_affected_target_matches_the_reference_enumeration(state):
 
 
 def test_a_least_packing_miss_leaves_no_reference_cycle():
+    # the packing search's serving callers, on a demand that packs and
+    # on one that does not
     matrix = config_matrix(4, (0, 0, 0, 2))
     x = (0, 0, 1, 0, 1, 1)
     configs._least_packing.cache_clear()
+    configs._packable.cache_clear()
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         assert min_affected_target(matrix, x) is not None
         assert configs._least_packing.cache_info().misses > 0
+        misses = configs._packable.cache_info().misses
+        for u, packs in (((1, 1, 3, 37), False), ((3, 0, 3, 37), True)):
+            assert demand_packable(u, 4) is packs
+            assert (solve_any_target(matrix, u) is not None) is packs
+        assert configs._packable.cache_info().misses == misses + 2
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -36,7 +36,7 @@ The eight blocks:
   * `verify-suite/k4|k5`: `verify_suite(k).render()`;
   * `skewed/<algorithm>`: the three remaps of SKEWED_REQUESTS on the
     k = 5, l = 1024 state that SKEWED_LAYOUT builds, where a packing
-    search can backtrack for a long time (about 1 s per comp-any remap);
+    search can backtrack for a long time;
   * `graver/k<k>/<pseudo>`: what `repart graver --k K --pseudo P` prints
     (the basis, its norms and its bound certificate), for every pseudo
     configuration at k 1-5 and for the three k = 6 ones in K6_PSEUDOS.
