@@ -230,12 +230,12 @@ def solve_any_target(matrix: ConfigMatrix, u):
     """Some valid target census for demand u, or None if none exists.
 
     Deterministic: the greatest packing with the configurations read
-    largest component first, ties in configuration order.
+    largest component first, ties in configuration order. The memoized
+    demand_packable rejects first, as this order can backtrack long.
     """
-    counts = _packing(u, matrix.k, greatest=True, largest_first=True)
-    if counts is None:
+    if not demand_packable(u, matrix.k):
         return None
-    return counts + (0,)
+    return _packing(u, matrix.k, greatest=True, largest_first=True) + (0,)
 
 
 def min_affected_target(matrix: ConfigMatrix, x):
@@ -339,50 +339,42 @@ def brute_force_min_target(x, matrix: ConfigMatrix, u):
         return None
     cap = sum(abs(a - b) for a, b in zip(x, packing + (0,)))
     cols = matrix.columns
-    k = matrix.k
     # suffix_max[j][i]: largest row-i entry among columns j..q-2
-    suffix_max = [[0] * k for _ in range(q)]
+    suffix_max = [[0] * matrix.k for _ in range(q)]
     for j in range(pi - 1, -1, -1):
-        for i in range(k):
-            suffix_max[j][i] = max(suffix_max[j + 1][i], cols[j][i])
-    budget = [DEFAULT_SEARCH_BUDGET]
-
-    def search(d):
-        sols = []
-        w = [0] * q
-        w[pi] = 1
-
-        def rec(j, rem, partial):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ResourceLimitError(
-                    f"brute-force target search exceeded {DEFAULT_SEARCH_BUDGET} nodes"
-                )
-            if j == pi:
-                if rem == 0 and all(p == 0 for p in partial):
-                    sols.append(tuple(w))
-                return
-            limit = suffix_max[j]
-            for i in range(k):
-                if abs(partial[i]) > rem * limit[i]:
-                    return
-            col = cols[j]
-            hi = min(rem, x[j])
-            for wj in range(-rem, hi + 1):
-                w[j] = wj
-                if wj:
-                    nxt = tuple(p + wj * c for p, c in zip(partial, col))
-                else:
-                    nxt = partial
-                rec(j + 1, rem - abs(wj), nxt)
-            w[j] = 0
-
-        rec(0, d - 1, cols[pi])
-        return sols
-
+        suffix_max[j] = [max(a, b) for a, b in zip(suffix_max[j + 1], cols[j])]
+    plan, budget = (x, cols, suffix_max), [DEFAULT_SEARCH_BUDGET]
     for d in range(3, cap + 1, 2):
-        sols = search(d)
+        w, sols = [0] * pi + [1], []
+        _signed_moves(0, d - 1, cols[pi], w, plan, sols, budget)
         if sols:
-            ys = [tuple(a - b for a, b in zip(x, w)) for w in sols]
+            ys = [tuple(a - b for a, b in zip(x, sol)) for sol in sols]
             return min(ys, key=revlex_key), d
     raise InvariantViolation("deepening passed the known-feasible distance cap")
+
+
+def _signed_moves(j, rem, partial, w, plan, sols, budget):
+    """Append to sols every completion of w from column j on that spends
+    exactly rem more of the one-norm and brings partial, A*w so far, to
+    0; plan is (x, columns, suffix_max). Depth-first, w_j from -rem up
+    to min(rem, x_j). Module-level, as _cover is: a self-recursive
+    closure would leave a reference cycle per call.
+    """
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ResourceLimitError(
+            f"brute-force target search exceeded {DEFAULT_SEARCH_BUDGET} nodes"
+        )
+    x, cols, suffix_max = plan
+    if j == len(w) - 1:
+        if rem == 0 and not any(partial):
+            sols.append(tuple(w))
+        return
+    if any(abs(p) > rem * m for p, m in zip(partial, suffix_max[j])):
+        return
+    col = cols[j]
+    for wj in range(-rem, min(rem, x[j]) + 1):
+        w[j] = wj
+        after = tuple(p + wj * c for p, c in zip(partial, col)) if wj else partial
+        _signed_moves(j + 1, rem - abs(wj), after, w, plan, sols, budget)
+    w[j] = 0

@@ -18,16 +18,18 @@ comp-min finds the target census by a direct search that lets t = 0, 1,
 (configs.min_affected_target); it picks the target the Graver-basis
 scan would, and the Graver machinery only certifies it. comp-any skips
 minimization and takes any valid target. _realize turns the target
-census into moves one size class at a time: each affected cluster keeps
-its lowest-root components of each size that its new configuration
-holds, the merged component offered last, and the rest move, larger
-first, to the first affected cluster with room.
+census into moves one size class at a time: each affected cluster takes
+the first open configuration that keeps the most of it and keeps its
+lowest-root components of each size there, the merged component offered
+last; the rest move, larger first, to the first affected cluster with
+room.
 
 A request is planned in full before anything changes, so a serve that
 raises leaves the engine as it was; the plan is the RemapRecord that is
 applied and kept. The planner alone decides a cross-cluster request: no
 plan means the merged family cannot be hosted, so serve resets the
-phase, and on the fresh phase (k = 1 only) the merge is dropped. The
+phase, and on the fresh phase (k = 1 only) the merge is dropped; a
+planner that finds none for a size demand that packs is a fault. The
 engine keeps the component size demand, each cluster's size-count
 vector and the clusters of each configuration up to date, so a request
 reads only the two components it joins and the clusters it changes. A
@@ -319,7 +321,9 @@ class Engine:
     def _build_plan(self, partition, census, request: Request) -> RemapRecord | None:
         """Plan the remap that merges the components of the request's
         endpoints, which lie in different clusters; None when no valid
-        mapping can host the merged component family.
+        mapping can host the merged component family. Past k that is
+        known at once; otherwise the planner alone decides, and its None
+        must come with a size demand that does not pack.
 
         Reads the two components, the size demand, the census of their
         clusters and the clusters the plan changes; changes nothing.
@@ -329,7 +333,7 @@ class Engine:
         ru, rv = partition.find(u), partition.find(v)
         su, sv = partition.size_of(ru), partition.size_of(rv)
         demand = merged(partition.demand(k), su, sv)
-        if demand is None or not demand_packable(demand, k):
+        if demand is None:
             return None
         ca, cb = sorted((self.mapping.cluster_of(u), self.mapping.cluster_of(v)))
         own = (census.counts[ca], census.counts[cb])
@@ -344,7 +348,9 @@ class Engine:
         else:
             y = min_affected_target(matrix, x)
         if y is None:
-            raise InvariantViolation("feasible event lost its valid target")
+            if demand_packable(demand, k):
+                raise InvariantViolation("feasible event lost its valid target")
+            return None
         # demand is the partition's, so a census that drifted from it fails here
         if not is_valid_target(y, matrix, demand):
             raise InvariantViolation(f"planned target {y} is not valid")
@@ -366,12 +372,13 @@ class Engine:
         Keeps min(x_c, y_c) lowest-id clusters per configuration
         untouched, so the x_c - y_c highest-id ones of each shrinking
         configuration are affected; the two merge participants always
-        are. Each affected cluster, in id order, takes the first open
-        target configuration that keeps the largest total size of its
-        components, and keeps the lowest-root ones of each size. The
-        merged component is offered last among its size, in the first
-        participant and then, if not kept there, in the second. The
-        rest go, larger first, to the first affected cluster with room.
+        are. y - x counts the open configurations. Each affected
+        cluster, in id order, takes the first in column order that keeps
+        the largest total size of its components, and keeps the
+        lowest-root ones of each size. The merged component is offered
+        last among its size, in the first participant and then, if not
+        kept there, in the second. The rest go, larger first, to the
+        first affected cluster with room.
         """
         mapping = self.mapping
         ru, rv = merging
@@ -380,19 +387,19 @@ class Engine:
             ru, partition.size_of(ru), rv, partition.size_of(rv)
         )
 
-        affected, slots = list(clusters), []
+        affected, opened = list(clusters), {}
         for c, cfg in enumerate(columns):
             if x[c] > y[c]:
                 evicted = (
                     j for j in reversed(census.clusters_with[cfg]) if j not in clusters
                 )
                 affected.extend(islice(evicted, x[c] - y[c]))
-            else:
-                slots.extend([cfg] * (y[c] - x[c]))
+            elif y[c] > x[c]:
+                opened[cfg] = y[c] - x[c]
         affected.sort()
-        if len(slots) != len(affected):
+        if sum(opened.values()) != len(affected):
             raise InvariantViolation(
-                f"{len(slots)} open slots for {len(affected)} affected clusters"
+                f"{sum(opened.values())} open slots for {len(affected)} affected clusters"
             )
 
         placed, room, spare = {}, {}, set()
@@ -404,13 +411,13 @@ class Engine:
                 by_size.setdefault(partition.size_of(root), []).append(root)
             if j in clusters and merged_root not in placed:
                 by_size.setdefault(len(merged_nodes), []).append(merged_root)
+            # max keeps the first best, in column order
             best = max(
-                range(len(slots)),
-                key=lambda at: sum(
-                    s * min(len(rs), slots[at][s - 1]) for s, rs in by_size.items()
-                ),
+                (cfg for cfg, left in opened.items() if left),
+                key=lambda cfg: sum(s * min(len(rs), cfg[s - 1]) for s, rs in by_size.items()),
             )
-            room[j] = free = list(slots.pop(best))
+            opened[best] -= 1
+            room[j] = free = list(best)
             for s, rs in by_size.items():
                 keep = min(free[s - 1], len(rs))
                 free[s - 1] -= keep

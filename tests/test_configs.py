@@ -300,6 +300,23 @@ def test_brute_force_min_target_checks_state():
         brute_force_min_target(E1_X, E1_MATRIX, (9, 9))
 
 
+def test_brute_force_min_target_leaves_nothing_for_the_collector():
+    # a self-recursive closure once left 22 objects per call to the
+    # cyclic collector, on every remap that --verify checks
+    matrix = config_matrix(4, (0, 0, 0, 2))
+    x = (0, 0, 1, 0, 1, 1)
+    u = matrix.mat_vec(x)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert brute_force_min_target(x, matrix, u) == ((0, 0, 1, 0, 3, 0), 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_brute_force_min_target_budget_guard(monkeypatch):
     monkeypatch.setattr(configs, "DEFAULT_SEARCH_BUDGET", 1)
     with pytest.raises(ResourceLimitError):

@@ -33,6 +33,8 @@ from repart.rng import SplitMix64
 from repart.verify import check_remap
 from repart.workloads import generate_workload
 
+import parity
+
 
 def _random_requests(instance, count, seed):
     rng = SplitMix64(seed)
@@ -416,34 +418,31 @@ def test_large_instances_serve_cross_cluster_requests(k, l):
     assert report.records
 
 
-# clusters of k=5, l=1024 in id order: (count, size-count vector)
-_BACKTRACKING_LAYOUT = [
-    (366, (0, 0, 0, 0, 1)),
-    (58, (1, 0, 0, 1, 0)),
-    (366, (0, 1, 1, 0, 0)),
-    (100, (1, 2, 0, 0, 0)),
-    (71, (3, 1, 0, 0, 0)),
-    (63, (5, 0, 0, 0, 0)),
-]
-
-
 def test_merge_check_does_not_backtrack_on_a_skewed_packing():
     # 686, 637, 366, 58 and 366 components of sizes 1..5: checking the
-    # merges below in the fixed configuration order took over 1 s each
-    eng = Engine(Instance(5, 1024))
-    first = 0
-    for count, config in _BACKTRACKING_LAYOUT:
-        for _ in range(count):
-            for size in range(5, 0, -1):
-                for _ in range(config[size - 1]):
-                    for node in range(first + 1, first + size):
-                        eng.serve(Request(first, node))
-                    first += size
+    # merges below in the fixed configuration order took over 1 s each.
+    # comp-min plans them at t = 0 and asks for no check, so ask here
+    eng = parity.skewed_engine("comp-min")
     assert eng.requests_served == 3007
     assert all(o.tag is StepTag.PAID_MERGE_SAME_CLUSTER for o in eng.outcomes)
     configs._packable.cache_clear()
     start = time.perf_counter()
-    for u, v in [(5110, 5115), (5105, 5116), (5100, 5117)]:
+    for u, v in parity.SKEWED_REQUESTS:
+        partition = eng.partition
+        su, sv = (partition.size_of(partition.find(node)) for node in (u, v))
+        assert configs.demand_packable(configs.merged(partition.demand(5), su, sv), 5)
+        assert eng.serve(Request(u, v)).tag is StepTag.PAID_REMAP
+    assert time.perf_counter() - start < 1.0
+    assert [len(record.affected) for record in eng.remap_records] == [2, 2, 2]
+
+
+def test_comp_any_serves_a_skewed_packing_within_a_second():
+    # its greatest packing backtracked for about 1 s a serve here, and
+    # scoring every open slot per affected cluster then took most of 0.1 s
+    eng = parity.skewed_engine("comp-any")
+    configs._packable.cache_clear()
+    start = time.perf_counter()
+    for u, v in parity.SKEWED_REQUESTS:
         assert eng.serve(Request(u, v)).tag is StepTag.PAID_REMAP
     assert time.perf_counter() - start < 1.0
 
@@ -451,16 +450,8 @@ def test_merge_check_does_not_backtrack_on_a_skewed_packing():
 def test_remap_check_does_not_backtrack_on_a_skewed_packing():
     # the --verify check of the three remaps above capped its deepening
     # search with the fixed-order packing, over 1 s per remap
-    eng = Engine(Instance(5, 1024))
-    first = 0
-    for count, config in _BACKTRACKING_LAYOUT:
-        for _ in range(count):
-            for size in range(5, 0, -1):
-                for _ in range(config[size - 1]):
-                    for node in range(first + 1, first + size):
-                        eng.serve(Request(first, node))
-                    first += size
-    for u, v in [(5110, 5115), (5105, 5116), (5100, 5117)]:
+    eng = parity.skewed_engine("comp-min")
+    for u, v in parity.SKEWED_REQUESTS:
         eng.serve(Request(u, v))
     records = eng.remap_records
     assert len(records) == 3
@@ -470,6 +461,19 @@ def test_remap_check_does_not_backtrack_on_a_skewed_packing():
     for record in records:
         assert check_remap(5, record.pseudo, record.x, record.y) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_remaps_planned_at_t0_ask_for_no_packing_check():
+    # the planner alone decides a remap: the whole-demand check runs only
+    # when it finds no target, and a remap it plans at t = 0 never does
+    inst = Instance(4, 256)
+    eng = Engine(inst)
+    configs._packable.cache_clear()
+    for request in generate_workload("uniform-random", inst, 150, 5).requests:
+        assert eng.serve(request).tag is not StepTag.PHASE_RESET
+    assert len(eng.remap_records) > 100
+    assert all(len(record.affected) == 2 for record in eng.remap_records)
+    assert configs._packable.cache_info().misses == 0
 
 
 def test_serves_and_resets_stay_off_the_whole_state_scans(monkeypatch):
@@ -589,3 +593,15 @@ def test_remaps_keep_the_lowest_id_clusters_of_each_configuration():
                 assert evicted == ids[len(ids) - len(evicted) :]
                 partial += 0 < len(evicted) < len(ids)
     assert partial > 0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_planner_that_refuses_a_feasible_event_is_caught(monkeypatch, algorithm):
+    monkeypatch.setattr(engine_module, "min_affected_target", lambda matrix, x: None)
+    monkeypatch.setattr(engine_module, "solve_any_target", lambda matrix, u: None)
+    eng = Engine(Instance(2, 4), algorithm=algorithm)
+    eng.serve(Request(0, 1))
+    before = _engine_state(eng)
+    with pytest.raises(InvariantViolation, match="feasible event lost its valid target"):
+        eng.serve(Request(2, 4))
+    assert _engine_state(eng) == before

@@ -29,6 +29,7 @@ def test_tier1_cases_are_the_blocks_the_tests_check():
         "records": 54,  # tests/test_remap_records.py
         "wide-comp-any": 3,  # tests/test_remap_records.py
         "records-large": 60,  # tests/test_remap_records.py
+        "skewed": 2,  # tests/test_remap_records.py
         "verify-suite": 1,  # tests/test_verify.py
         "graver": 59,  # tests/test_graver.py
     }

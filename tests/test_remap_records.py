@@ -1,5 +1,6 @@
 """Every remap record of the parity harness's `records/...`,
-`wide-comp-any/...` and `records-large/...` blocks, moves included.
+`wide-comp-any/...`, `records-large/...` and `skewed/...` blocks, moves
+included.
 
 The golden report digests see only move and cluster counts; these
 blocks pin which clusters each remap affects and which nodes it moves,
@@ -23,3 +24,7 @@ def test_every_remap_record_is_pinned():
 
 def test_every_large_remap_record_is_pinned():
     assert parity.mismatches(parity.tier1("records-large"), parity.read_manifest()) == []
+
+
+def test_every_skewed_remap_record_is_pinned():
+    assert parity.mismatches(parity.tier1("skewed"), parity.read_manifest()) == []

@@ -43,12 +43,12 @@ The eight blocks:
 
 The full check takes about 30 s on one core of an Intel Xeon (Python
 3.11). The tier-1 tests check the cases marked tier1, the matrix runs
-with n <= 16 and every other case but `verify-suite/k4` and
-`skewed/...`, one block per test: the matrix in tests/test_parity.py,
-`golden/...` in tests/test_golden_digest.py, `records/...`,
-`wide-comp-any/...` and `records-large/...` in
-tests/test_remap_records.py, `verify-suite/k5` in tests/test_verify.py
-and `graver/...` in tests/test_graver.py.
+with n <= 16 and every other case but `verify-suite/k4`, one block per
+test: the matrix in tests/test_parity.py, `golden/...` in
+tests/test_golden_digest.py, `records/...`, `wide-comp-any/...`,
+`records-large/...` and `skewed/...` in tests/test_remap_records.py,
+`verify-suite/k5` in tests/test_verify.py and `graver/...` in
+tests/test_graver.py.
 """
 
 from __future__ import annotations
@@ -175,8 +175,9 @@ def _wide_comp_any_lines(l):
     return _record_lines([_wide_comp_any_record(l)])
 
 
-def _skewed_lines(algorithm):
-    """The remap records of SKEWED_REQUESTS on the SKEWED_LAYOUT state."""
+def skewed_engine(algorithm):
+    """An engine at the k = 5, l = 1024 state SKEWED_LAYOUT describes,
+    its clusters filled in id order by 3 007 same-cluster requests."""
     engine = Engine(Instance(5, 1024), algorithm=algorithm)
     first = 0
     for count, config in SKEWED_LAYOUT:
@@ -186,6 +187,12 @@ def _skewed_lines(algorithm):
                     for node in range(first + 1, first + size):
                         engine.serve(Request(first, node))
                     first += size
+    return engine
+
+
+def _skewed_lines(algorithm):
+    """The remap records of SKEWED_REQUESTS on the SKEWED_LAYOUT state."""
+    engine = skewed_engine(algorithm)
     for u, v in SKEWED_REQUESTS:
         engine.serve(Request(u, v))
     return _record_lines(engine.remap_records)
@@ -245,7 +252,7 @@ def cases() -> list:
         p = ",".join(map(str, pseudo))
         out.append(Case(f"graver/k{k}/{p}", "graver", True, partial(_graver_payload, k, p)))
     out += [
-        Case(f"skewed/{algorithm}", "skewed", False, partial(_skewed_lines, algorithm))
+        Case(f"skewed/{algorithm}", "skewed", True, partial(_skewed_lines, algorithm))
         for algorithm in ALGORITHMS
     ]
     return out
